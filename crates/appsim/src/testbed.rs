@@ -160,13 +160,11 @@ pub struct TestbedConfig {
     /// the buffer is a zero-sized no-op regardless.
     pub trace_capacity: usize,
     /// Deterministic fault schedule. Empty (the default) injects
-    /// nothing and draws nothing; without the `fault` feature the
-    /// injector is inert regardless of the plan.
+    /// nothing and draws nothing.
     pub fault_plan: FaultPlan,
     /// Telemetry timeline sampling (fixed sim-time interval,
     /// interval-doubling decimation). Off by default at this layer
-    /// (`cap: 0`); the experiment runner opts in. Zero-sized no-op
-    /// without the `obs` feature regardless.
+    /// (`cap: 0`); the experiment runner opts in.
     pub timeline: simcore::TimelineConfig,
     /// Overload admission control for the per-core app queues.
     /// Unbounded ([`AdmissionPolicy::None`]) by default, preserving
@@ -440,8 +438,7 @@ pub struct Testbed {
     #[allow(clippy::type_complexity)]
     pub poll_observer: Option<Box<dyn FnMut(CoreId, PollClass, u64, SimTime)>>,
     /// Conservation ledger every event path credits; audited by
-    /// [`audit_report`](Testbed::audit_report). Zero-sized no-op
-    /// without the `audit` feature.
+    /// [`audit_report`](Testbed::audit_report).
     pub ledger: ConservationLedger,
     /// Structured trace events (request spans and governor instants
     /// land here live; component logs are replayed in by
@@ -463,13 +460,11 @@ pub struct Testbed {
     /// report is part of every run result).
     pub watchdog: SloWatchdog,
     /// The fault injector evaluating [`TestbedConfig::fault_plan`].
-    /// Zero-sized no-op without the `fault` feature.
     pub faults: FaultInjector,
     /// The telemetry timeline bus: fixed-interval per-core gauge rows
     /// with interval-doubling decimation, polled by governors through
-    /// [`simcore::TelemetryTap`]. Zero-sized no-op without the `obs`
-    /// feature; recording also requires [`TestbedConfig::timeline`]
-    /// with a non-zero cap.
+    /// [`simcore::TelemetryTap`]. Records only when
+    /// [`TestbedConfig::timeline`] has a non-zero cap.
     pub timeline: simcore::TimeSeriesSampler,
 
     profile: ProcessorProfile,
@@ -1595,15 +1590,12 @@ impl Testbed {
     }
 
     /// True if any configured fault scope covers `core` at `now`
-    /// (the timeline's fault-active flag; always false without the
-    /// `fault` feature).
+    /// (the timeline's fault-active flag).
     fn fault_scope_active(&self, now: SimTime, core: usize) -> bool {
-        FaultInjector::ENABLED
-            && self
-                .faults
-                .specs()
-                .iter()
-                .any(|s| s.scope.covers(now, Some(core)))
+        self.faults
+            .specs()
+            .iter()
+            .any(|s| s.scope.covers(now, Some(core)))
     }
 
     /// Per-sample energy bookkeeping: one RAPL interval read (clamped
@@ -2062,8 +2054,8 @@ impl Testbed {
 
     /// Evaluates every conservation identity the testbed maintains,
     /// valid at *any* simulation time (quantities still in flight are
-    /// counted where they currently sit). Returns `None` when the
-    /// `audit` feature is off and the ledger never counted.
+    /// counted where they currently sit). Always `Some`: the `Option`
+    /// is kept because the `perfbench` benchmark calls this.
     ///
     /// The identities cross-check two independent accounting paths:
     /// the event-path [`ledger`](Testbed::ledger) against each
@@ -2071,9 +2063,6 @@ impl Testbed {
     /// per-mode totals, client statistics, and the incremental vs
     /// residency-ledger energy integrals).
     pub fn audit_report(&mut self, now: SimTime) -> Option<AuditReport> {
-        if !ConservationLedger::ENABLED {
-            return None;
-        }
         let l = &self.ledger;
         let (poll_rx, poll_requests, poll_tx) = self.in_flight_poll();
         let mut report = AuditReport::new();
@@ -2229,10 +2218,7 @@ impl Testbed {
         // Energy: incremental integral vs the residency-ledger
         // recomputation (different summation order → tolerance).
         let direct = self.processor.package_energy_joules(now);
-        let audited = self
-            .processor
-            .audited_package_energy_joules(now)
-            .expect("audit feature is enabled");
+        let audited = self.processor.audited_package_energy_joules(now);
         report.check_close(
             "energy: incremental == residency ledger",
             direct,
@@ -2431,26 +2417,24 @@ impl Testbed {
         m.set_counter("governor.degradations", d.degradations);
         m.set_counter("governor.recoveries", d.recoveries);
         m.set_counter("governor.degraded_cores", d.degraded_cores);
-        if FaultInjector::ENABLED {
-            let f = self.faults.stats();
-            m.set_counter("fault.total", f.total());
-            m.set_counter("fault.wire_requests_dropped", f.wire_requests_dropped);
-            m.set_counter("fault.wire_responses_dropped", f.wire_responses_dropped);
-            m.set_counter("fault.irqs_lost", f.irqs_lost);
-            m.set_counter("fault.spurious_irqs", f.spurious_irqs);
-            m.set_counter("fault.irq_unmasks_blocked", f.irq_unmasks_blocked);
-            m.set_counter("fault.wakes_delayed", f.wakes_delayed);
-            m.set_counter("fault.signals_suppressed", f.signals_suppressed);
-            m.set_counter("fault.signals_replayed", f.signals_replayed);
-            m.set_counter("fault.polls_clamped", f.polls_clamped);
-            m.set_counter("fault.dvfs_delays", f.dvfs_delays);
-            m.set_counter("fault.pstate_clamps", f.pstate_clamps);
-            m.set_counter("fault.exec_stalls", f.exec_stalls);
-            m.set_counter("fault.load_switches", f.load_switches);
-            m.set_counter("fault.incast_requests", f.incast_requests);
-            m.set_counter("fault.flow_churns", f.flow_churns);
-            m.set_counter("fault.admission_bypasses", f.admission_bypasses);
-        }
+        let f = self.faults.stats();
+        m.set_counter("fault.total", f.total());
+        m.set_counter("fault.wire_requests_dropped", f.wire_requests_dropped);
+        m.set_counter("fault.wire_responses_dropped", f.wire_responses_dropped);
+        m.set_counter("fault.irqs_lost", f.irqs_lost);
+        m.set_counter("fault.spurious_irqs", f.spurious_irqs);
+        m.set_counter("fault.irq_unmasks_blocked", f.irq_unmasks_blocked);
+        m.set_counter("fault.wakes_delayed", f.wakes_delayed);
+        m.set_counter("fault.signals_suppressed", f.signals_suppressed);
+        m.set_counter("fault.signals_replayed", f.signals_replayed);
+        m.set_counter("fault.polls_clamped", f.polls_clamped);
+        m.set_counter("fault.dvfs_delays", f.dvfs_delays);
+        m.set_counter("fault.pstate_clamps", f.pstate_clamps);
+        m.set_counter("fault.exec_stalls", f.exec_stalls);
+        m.set_counter("fault.load_switches", f.load_switches);
+        m.set_counter("fault.incast_requests", f.incast_requests);
+        m.set_counter("fault.flow_churns", f.flow_churns);
+        m.set_counter("fault.admission_bypasses", f.admission_bypasses);
         m.set_counter("admission.shed", self.total_shed());
         m.set_counter("attrib.requests", self.attrib.requests());
         m.set_counter("attrib.mismatches", self.attrib.mismatches());
@@ -2628,7 +2612,6 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn conservation_holds_mid_run_and_after_drain() {
         let (mut sim, mut tb) = build(80_000.0, Box::new(Performance::new()));
@@ -2648,7 +2631,6 @@ mod tests {
         assert!(report.checks.len() >= 10, "audit must cover the full stack");
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn conservation_holds_under_ring_overflow() {
         // Tiny rings + heavy load force Rx tail drops; the dropped
@@ -2682,7 +2664,7 @@ mod tests {
         assert!(wire.sum_ns > 0, "wire time must be attributed");
     }
 
-    #[cfg(all(feature = "obs", feature = "audit"))]
+    #[cfg(feature = "obs")]
     #[test]
     fn attribution_balances_under_ksoftirqd_overload() {
         // The slowest-pinned overload path exercises preemption,
@@ -2788,7 +2770,74 @@ mod tests {
         assert_ne!(r.first_detect_ns, u64::MAX);
     }
 
-    #[cfg(feature = "fault")]
+    /// The telemetry bus is compiled in every build: with the `obs`
+    /// feature off (this crate's default), a governor still gets its
+    /// `on_telemetry` feed and reads live queue saturation from it.
+    #[test]
+    fn telemetry_bus_feeds_the_governor_without_obs() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        /// Pins the slowest P-state and records what the bus shows it.
+        struct Probe {
+            target: PState,
+            calls: Rc<Cell<u64>>,
+            max_saturation: Rc<Cell<i64>>,
+        }
+        impl PStateGovernor for Probe {
+            fn name(&self) -> String {
+                "probe".into()
+            }
+            fn on_core_sample(
+                &mut self,
+                core: CoreId,
+                _sample: cpusim::core::UtilSample,
+                _now: SimTime,
+                actions: &mut Vec<Action>,
+            ) {
+                actions.push(Action::SetCore(core, self.target));
+            }
+            fn on_telemetry(
+                &mut self,
+                tap: &dyn simcore::TelemetryTap,
+                _now: SimTime,
+                _actions: &mut Vec<Action>,
+            ) {
+                self.calls.set(self.calls.get() + 1);
+                for core in 0..tap.tap_cores() {
+                    let s = tap.latest(core, simcore::Gauge::Saturation).unwrap_or(0);
+                    self.max_saturation.set(self.max_saturation.get().max(s));
+                }
+            }
+        }
+
+        let calls = Rc::new(Cell::new(0));
+        let max_saturation = Rc::new(Cell::new(0));
+        let probe = Probe {
+            target: ProcessorProfile::xeon_gold_6134().pstates.slowest(),
+            calls: Rc::clone(&calls),
+            max_saturation: Rc::clone(&max_saturation),
+        };
+        let cfg = TestbedConfig::new(AppModel::memcached(), small_load(600_000.0))
+            .with_seed(123)
+            .with_admission(AdmissionPolicy::StaticDepth { limit: 32 })
+            .with_timeline(simcore::TimelineConfig::default());
+        let cores = cfg.profile.cores;
+        let mut sim = Simulator::new();
+        let mut tb = Testbed::new(
+            cfg,
+            Box::new(probe),
+            Box::new(MenuPolicy::new(cores)),
+            &mut sim,
+        );
+        sim.run_until(&mut tb, SimTime::from_millis(100));
+        assert!(calls.get() > 0, "on_telemetry never ran");
+        assert!(
+            max_saturation.get() > 0,
+            "an overloaded, admission-bounded core must read non-zero saturation"
+        );
+    }
+
     fn build_faulty(rps: f64, plan: FaultPlan) -> (Simulator<Testbed>, Testbed) {
         let cfg = TestbedConfig::new(AppModel::memcached(), small_load(rps))
             .with_seed(123)
@@ -2804,7 +2853,6 @@ mod tests {
         (sim, tb)
     }
 
-    #[cfg(all(feature = "fault", feature = "audit"))]
     #[test]
     fn wire_drops_are_explicitly_accounted() {
         use simcore::FaultScope;
@@ -2828,7 +2876,6 @@ mod tests {
         assert!(tb.client.received() < tb.client.sent());
     }
 
-    #[cfg(all(feature = "fault", feature = "audit"))]
     #[test]
     fn stuck_irq_mask_wedges_then_recovers() {
         use simcore::FaultScope;
@@ -2854,7 +2901,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn fault_injection_is_deterministic() {
         use simcore::FaultScope;
@@ -2883,7 +2929,6 @@ mod tests {
         assert_eq!(run(plan()), run(plan()));
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn spurious_irqs_burn_cpu_without_breaking_flow() {
         use simcore::FaultScope;

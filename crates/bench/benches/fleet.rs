@@ -9,15 +9,14 @@
 //! machinery started storming, not that the runner was slow.
 //!
 //! ```text
-//! cargo bench -p nmap-bench --bench fleet                    # faults inert
-//! cargo bench -p nmap-bench --bench fleet --features fault   # chaos armed
+//! cargo bench -p nmap-bench --bench fleet
 //! ```
 
 use cluster::{FleetConfig, GovernorKind};
 use nmap_bench::criterion::{black_box, Criterion};
 use nmap_bench::nmap_cfg;
 use nmap_bench::{criterion_group, criterion_main};
-use simcore::fault::{FaultInjector, FaultKind, FaultPlan, FaultScope};
+use simcore::fault::{FaultKind, FaultPlan, FaultScope};
 use simcore::{SimDuration, SimTime};
 use workload::AppKind;
 
@@ -48,18 +47,12 @@ fn chaos_cfg() -> FleetConfig {
 }
 
 /// The fleet cell, calm vs chaos. The chaos/calm ratio feeds the
-/// advisory overhead check in `scripts/bench_gate.py`; with faults
-/// compiled out the schedule is inert and the ratio sits near 1.
+/// advisory overhead check in `scripts/bench_gate.py`.
 fn fleet_cell(c: &mut Criterion) {
-    let suffix = if FaultInjector::ENABLED {
-        "fault_on"
-    } else {
-        "fault_off"
-    };
-    c.bench_function(format!("fleet_cell/calm_{suffix}"), |b| {
+    c.bench_function("fleet_cell/calm", |b| {
         b.iter(|| black_box(cluster::run_fleet(base_cfg())))
     });
-    c.bench_function(format!("fleet_cell/chaos_{suffix}"), |b| {
+    c.bench_function("fleet_cell/chaos", |b| {
         b.iter(|| black_box(cluster::run_fleet(chaos_cfg())))
     });
 }

@@ -50,12 +50,6 @@ mod tests {
             assert_eq!(std::mem::size_of::<simcore::CoreEnergyMeter>(), 0);
             assert_eq!(std::mem::size_of::<simcore::FlightRecorder>(), 0);
         }
-        // Same contract for the telemetry bus: with `obs` off the
-        // sampler is zero-sized and `record_row` is a no-op — the
-        // baseline the `timeline` bench's obs-off numbers rest on.
-        if !simcore::TimeSeriesSampler::ENABLED {
-            assert_eq!(std::mem::size_of::<simcore::TimeSeriesSampler>(), 0);
-        }
         // The summaries stay plain data either way; their defaults
         // are empty, not absent, so call sites need no cfg noise.
         assert_eq!(simcore::EnergySummary::default().measured_total_uj(), 0);

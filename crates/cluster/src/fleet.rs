@@ -39,9 +39,9 @@
 //! sub-account.
 //!
 //! Both identities are evaluated in the [`FleetResult::audit`]
-//! report, cross-checked against the [`ConservationLedger`] when the
-//! `audit` feature is on, and a violation turns the run into
-//! [`SimError::Accounting`] instead of a silently wrong result.
+//! report, cross-checked against the [`ConservationLedger`], and a
+//! violation turns the run into [`SimError::Accounting`] instead of a
+//! silently wrong result.
 
 use std::collections::{HashMap, VecDeque};
 use std::mem;
@@ -1431,9 +1431,8 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
     }
     let c = world.counters;
 
-    // The conservation roll-up: integer-exact, counter-based (so it
-    // holds with or without the `audit` feature), cross-checked
-    // against the ledger when the feature is on.
+    // The conservation roll-up: integer-exact and counter-based,
+    // cross-checked against the ledger.
     let mut audit = AuditReport::new();
     audit.check_exact(
         "fleet: admitted == completed + timed_out + shed + in_flight",
@@ -1464,70 +1463,67 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
         steered_sum,
         c.dispatched,
     );
-    if ConservationLedger::ENABLED {
-        let pairs = [
-            (
-                Account::FleetRequestsAdmitted,
-                c.admitted,
-                "ledger: admitted",
-            ),
-            (
-                Account::FleetRequestsCompleted,
-                c.completed,
-                "ledger: completed",
-            ),
-            (
-                Account::FleetRequestsTimedOut,
-                c.timed_out,
-                "ledger: timed out",
-            ),
-            (
-                Account::FleetAttemptsDispatched,
-                c.dispatched,
-                "ledger: dispatched",
-            ),
-            (
-                Account::FleetAttemptsCompleted,
-                c.attempts_completed,
-                "ledger: attempts completed",
-            ),
-            (
-                Account::FleetAttemptsFailed,
-                c.attempts_failed,
-                "ledger: attempts failed",
-            ),
-            (
-                Account::FleetHedgesSuppressed,
-                c.suppressed,
-                "ledger: suppressed",
-            ),
-            (
-                Account::FleetRequestsShed,
-                c.shed_requests,
-                "ledger: requests shed",
-            ),
-            (
-                Account::FleetAttemptsShed,
-                c.attempts_shed,
-                "ledger: attempts shed",
-            ),
-        ];
-        for (account, counter, name) in pairs {
-            audit.check_exact(name, world.ledger.balance(account), counter);
-        }
+    let pairs = [
+        (
+            Account::FleetRequestsAdmitted,
+            c.admitted,
+            "ledger: admitted",
+        ),
+        (
+            Account::FleetRequestsCompleted,
+            c.completed,
+            "ledger: completed",
+        ),
+        (
+            Account::FleetRequestsTimedOut,
+            c.timed_out,
+            "ledger: timed out",
+        ),
+        (
+            Account::FleetAttemptsDispatched,
+            c.dispatched,
+            "ledger: dispatched",
+        ),
+        (
+            Account::FleetAttemptsCompleted,
+            c.attempts_completed,
+            "ledger: attempts completed",
+        ),
+        (
+            Account::FleetAttemptsFailed,
+            c.attempts_failed,
+            "ledger: attempts failed",
+        ),
+        (
+            Account::FleetHedgesSuppressed,
+            c.suppressed,
+            "ledger: suppressed",
+        ),
+        (
+            Account::FleetRequestsShed,
+            c.shed_requests,
+            "ledger: requests shed",
+        ),
+        (
+            Account::FleetAttemptsShed,
+            c.attempts_shed,
+            "ledger: attempts shed",
+        ),
+    ];
+    for (account, counter, name) in pairs {
+        audit.check_exact(name, world.ledger.balance(account), counter);
     }
     // Per-server single-box audits must also balance.
     for (i, s) in world.servers.iter_mut().enumerate() {
-        if let Some(report) = s.tb.audit_report(end) {
-            if !report.is_balanced() {
-                return Err(SimError::Accounting {
-                    context: "fleet.server_audit",
-                    reason: format!(
-                        "server {i} conservation audit failed ({} violation(s))",
-                        report.violations().len()
-                    ),
-                });
-            }
+        let report = s.tb.audit_report(end).unwrap_or_default();
+        if !report.is_balanced() {
+            return Err(SimError::Accounting {
+                context: "fleet.server_audit",
+                reason: format!(
+                    "server {i} conservation audit failed ({} violation(s))",
+                    report.violations().len()
+                ),
+            });
         }
     }
     if !audit.is_balanced() {
@@ -1737,11 +1733,9 @@ mod tests {
             r.dispatched,
             r.attempts_completed + r.attempts_failed + r.suppressed + r.attempts_in_flight_at_end
         );
-        if FaultInjector::ENABLED {
-            assert_eq!(r.servers[0].crashes, 1);
-            assert!(r.attempts_failed > 0, "crash lost no attempts");
-            assert!(r.faults.server_crashes >= 1);
-        }
+        assert_eq!(r.servers[0].crashes, 1);
+        assert!(r.attempts_failed > 0, "crash lost no attempts");
+        assert!(r.faults.server_crashes >= 1);
     }
 
     #[test]

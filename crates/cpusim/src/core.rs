@@ -8,6 +8,15 @@ use crate::dvfs::{CompletionResult, CoreDvfs, TransitionOutcome};
 use crate::power::CoreActivity;
 use crate::profiles::ProcessorProfile;
 use crate::pstate::PState;
+
+/// Every [`CoreActivity`], in discriminant order (the residency
+/// ledger's inner index).
+const ACTIVITIES: [CoreActivity; 4] = [
+    CoreActivity::Busy,
+    CoreActivity::IdleC0,
+    CoreActivity::SleepC1,
+    CoreActivity::SleepC6,
+];
 use simcore::{
     BusyRole, CoreEnergyMeter, EnergyBreakdown, EventLog, MeterClass, RngStream, SimDuration,
     SimTime,
@@ -84,10 +93,10 @@ pub struct Core {
     /// own cursor so observability-only accounting points never
     /// perturb the `f64` integral; zero-sized without `obs`.
     obs_energy: CoreEnergyMeter,
-    /// Residency per (activity, P-state) — the independent side of
-    /// the energy conservation audit (`audit` feature only).
-    #[cfg(feature = "audit")]
-    residency: Vec<(CoreActivity, PState, SimDuration)>,
+    /// Residency per (P-state, activity), at index
+    /// `pstate * ACTIVITIES.len() + activity` — the independent side of
+    /// the energy conservation audit.
+    residency: Vec<SimDuration>,
     // --- sampling window ---
     window_start: SimTime,
     busy_in_window: SimDuration,
@@ -114,8 +123,7 @@ impl Core {
             energy_j: 0.0,
             last_account: SimTime::ZERO,
             obs_energy: CoreEnergyMeter::new(),
-            #[cfg(feature = "audit")]
-            residency: Vec::new(),
+            residency: vec![SimDuration::ZERO; profile.pstates.len() * ACTIVITIES.len()],
             window_start: SimTime::ZERO,
             busy_in_window: SimDuration::ZERO,
             c0_in_window: SimDuration::ZERO,
@@ -222,17 +230,8 @@ impl Core {
         self.energy_j += power * dt.as_secs_f64();
         self.obs_energy
             .advance(now, power, self.meter_class(profile));
-        #[cfg(feature = "audit")]
-        {
-            match self
-                .residency
-                .iter_mut()
-                .find(|(a, p, _)| *a == activity && *p == self.pstate)
-            {
-                Some((_, _, total)) => *total += dt,
-                None => self.residency.push((activity, self.pstate, dt)),
-            }
-        }
+        self.residency[usize::from(self.pstate.index()) * ACTIVITIES.len() + activity as usize] +=
+            dt;
         if self.busy {
             self.busy_in_window += dt;
             self.total_busy += dt;
@@ -452,33 +451,21 @@ impl Core {
     /// Σ power(activity, P-state) × residency — independently of the
     /// incremental integral [`energy_joules`](Self::energy_joules)
     /// maintains. The two must agree to ~1e-6 relative error; the
-    /// conservation audit compares them. Returns `None` without the
-    /// `audit` feature.
-    pub fn audited_energy_joules(
-        &mut self,
-        now: SimTime,
-        profile: &ProcessorProfile,
-    ) -> Option<f64> {
-        #[cfg(feature = "audit")]
-        {
-            self.account(now, profile);
-            Some(
-                self.residency
-                    .iter()
-                    .map(|&(activity, pstate, dur)| {
-                        profile
-                            .power
-                            .core_power(profile.pstates.point(pstate), activity)
-                            * dur.as_secs_f64()
-                    })
-                    .sum(),
-            )
-        }
-        #[cfg(not(feature = "audit"))]
-        {
-            let _ = (now, profile);
-            None
-        }
+    /// conservation audit compares them.
+    pub fn audited_energy_joules(&mut self, now: SimTime, profile: &ProcessorProfile) -> f64 {
+        self.account(now, profile);
+        self.residency
+            .iter()
+            .enumerate()
+            .map(|(i, dur)| {
+                let pstate = PState::new((i / ACTIVITIES.len()) as u8);
+                let activity = ACTIVITIES[i % ACTIVITIES.len()];
+                profile
+                    .power
+                    .core_power(profile.pstates.point(pstate), activity)
+                    * dur.as_secs_f64()
+            })
+            .sum()
     }
 
     /// Lifetime busy time.

@@ -208,15 +208,14 @@ impl Processor {
     /// Package energy recomputed from every core's residency ledger
     /// plus the uncore term — the independent cross-check the
     /// conservation audit compares against
-    /// [`package_energy_joules`](Self::package_energy_joules). Returns
-    /// `None` without the `audit` feature.
-    pub fn audited_package_energy_joules(&mut self, now: SimTime) -> Option<f64> {
+    /// [`package_energy_joules`](Self::package_energy_joules).
+    pub fn audited_package_energy_joules(&mut self, now: SimTime) -> f64 {
         let profile = self.profile.clone();
         let mut core_energy = 0.0;
         for c in &mut self.cores {
-            core_energy += c.audited_energy_joules(now, &profile)?;
+            core_energy += c.audited_energy_joules(now, &profile);
         }
-        Some(core_energy + profile.power.uncore_w * now.as_secs_f64())
+        core_energy + profile.power.uncore_w * now.as_secs_f64()
     }
 
     /// Sets extra latency added to every DVFS transition started while
@@ -372,7 +371,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn audited_energy_matches_incremental_integral() {
         let (mut p, mut rng) = per_core();
@@ -387,7 +385,7 @@ mod tests {
         }
         let now = SimTime::from_millis(40);
         let direct = p.package_energy_joules(now);
-        let audited = p.audited_package_energy_joules(now).expect("audit enabled");
+        let audited = p.audited_package_energy_joules(now);
         let rel = (direct - audited).abs() / direct.max(1e-12);
         assert!(
             rel < 1e-6,

@@ -11,13 +11,19 @@
 //!                     crash never leaves a truncated artifact)
 //!   --trace-out DIR   also rerun each artifact's representative cell
 //!                     with tracing and write DIR/<id>.trace.json
-//!                     (Perfetto-loadable; needs `--features obs`)
+//!                     (Perfetto-loadable; needs the default `obs`
+//!                     feature)
 //!   --checkpoint FILE stream finished sweep cells to FILE (append-only
 //!                     JSONL); re-running with the same FILE after a
 //!                     crash or Ctrl-C skips completed cells and
 //!                     produces byte-identical artifacts
 //!   --list            print the available artifact ids
 //! ```
+//!
+//! Exit status: 0 on success, 1 if sweep cells were quarantined, 2 on
+//! a usage error (including an unknown artifact id), 3 if an artifact's
+//! own check failed (e.g. the overload dichotomy). Every requested
+//! artifact is still written before a non-zero exit.
 //!
 //! Sweeps run under a [`Supervisor`]: cells that fail transiently are
 //! retried with backoff, persistently failing cells are quarantined
@@ -107,6 +113,7 @@ fn main() {
     };
 
     let mut produced: std::collections::HashSet<String> = std::collections::HashSet::new();
+    let mut failed_checks = Vec::new();
     for id in &ids {
         if produced.contains(id) {
             continue;
@@ -124,6 +131,12 @@ fn main() {
                 let path = format!("{dir}/{}.txt", report.id);
                 write_atomic(&path, &format!("{report}")).expect("write artifact");
             }
+            failed_checks.extend(
+                report
+                    .failed_checks
+                    .iter()
+                    .map(|c| format!("{}: {c}", report.id)),
+            );
             produced.insert(report.id.clone());
         }
         if let Some(dir) = &trace_dir {
@@ -155,6 +168,15 @@ fn main() {
             let path = format!("{dir}/quarantine.txt");
             write_atomic(&path, &section).expect("write quarantine report");
         }
+    }
+    if !failed_checks.is_empty() {
+        eprintln!("FAILED CHECKS");
+        for c in &failed_checks {
+            eprintln!("  {c}");
+        }
+        std::process::exit(3);
+    }
+    if !quarantined.is_empty() {
         std::process::exit(1);
     }
 }

@@ -363,7 +363,6 @@ mod tests {
         assert!(perfetto_json_with_drops(&tb, 3).contains("\"otherData\":{\"droppedEvents\":5}"));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn timeline_csv_and_openmetrics_write() {
         let r = traced_result();

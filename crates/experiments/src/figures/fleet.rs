@@ -137,13 +137,6 @@ pub fn sweep(scale: Scale) -> Vec<FleetResult> {
 pub fn render(results: &[FleetResult]) -> FigureReport {
     let governors = fleet_governors();
     let mut body = String::new();
-    let injected = results.iter().any(|r| r.faults.total() > 0);
-    if !injected {
-        body.push_str(
-            "\n(cluster fault injection inert: rebuild with `--features \
-             fault` to arm the chaos schedule)\n",
-        );
-    }
     for (pi, (plan_label, plan)) in plans().iter().enumerate() {
         let kinds: Vec<&'static str> = plan.specs.iter().map(|s| s.kind.label()).collect();
         if kinds.is_empty() {

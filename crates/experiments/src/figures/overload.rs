@@ -226,13 +226,6 @@ pub fn dichotomy(scale: Scale) -> Outcome {
 /// [`overload`] so the golden test can drive it at a fixed scale).
 pub fn render(outcome: &Outcome) -> FigureReport {
     let mut body = String::new();
-    let injected = outcome.on.full.faults.total() > 0 || outcome.off.full.faults.total() > 0;
-    if !injected {
-        body.push_str(
-            "\n(cluster fault injection inert: rebuild with `--features \
-             fault` to arm the metastable trigger)\n",
-        );
-    }
     body.push_str(&format!(
         "\n[metastable trigger: {SPIKE_FACTOR}x load spike + server crash, \
          {TRIGGER_START_MS}-{TRIGGER_CLEAR_MS} ms]\n"
@@ -291,7 +284,8 @@ pub fn render(outcome: &Outcome) -> FigureReport {
     }
     body.push_str(&report::table(&headers, rows));
 
-    match outcome.check() {
+    let check = outcome.check();
+    match &check {
         Ok(()) => body.push_str(&format!(
             "\nDichotomy holds: with admission control, retry budgets, circuit \
              breakers, and brownout engaged the fleet re-enters its SLO within \
@@ -303,11 +297,13 @@ pub fn render(outcome: &Outcome) -> FigureReport {
         )),
         Err(e) => body.push_str(&format!("\nDICHOTOMY CHECK FAILED: {e}\n")),
     }
-    FigureReport::new(
+    let mut report = FigureReport::new(
         "overload",
         "Overload control vs metastable failure: admission, retry budgets, brownout",
         body,
-    )
+    );
+    report.failed_checks.extend(check.err());
+    report
 }
 
 /// Builds the artifact: the metastable dichotomy at `scale`.
@@ -350,5 +346,35 @@ mod tests {
             );
             assert_eq!(full.seed, tail.seed, "probe must not change the seed");
         }
+    }
+
+    #[test]
+    fn failed_dichotomy_is_recorded_not_just_rendered() {
+        // A tiny calm fleet stands in for every cell; the tail probes
+        // are then pushed over the SLO, so control ON "failed to
+        // recover".
+        let mut r = cluster::run_fleet(
+            FleetConfig::new(2, AppKind::Memcached, 20_000.0, GovernorKind::Ondemand)
+                .with_window(SimDuration::from_millis(10), SimDuration::from_millis(20)),
+        );
+        r.p99 = SLO + SLO;
+        let arm = |controlled| Arm {
+            controlled,
+            full: r.clone(),
+            tail: r.clone(),
+        };
+        let outcome = Outcome {
+            on: arm(true),
+            off: arm(false),
+        };
+        let report = render(&outcome);
+        assert!(report.body.contains("DICHOTOMY CHECK FAILED"));
+        assert_eq!(report.failed_checks.len(), 1);
+        assert!(report.failed_checks[0].contains("failed to recover"));
+        // The failure list stays out of the rendered artifact.
+        assert_eq!(
+            format!("{report}"),
+            format!("== overload — {} ==\n{}", report.title, report.body)
+        );
     }
 }

@@ -52,18 +52,11 @@ fn index(gov: usize, level: usize) -> usize {
 /// [`timeline`] so the golden test can drive it at a fixed scale).
 pub fn render(results: &[RunResult]) -> FigureReport {
     let mut body = String::new();
-    let sampled = results.iter().any(|r| !r.timeline.is_empty());
     body.push_str(
         "\n[memcached — telemetry timeline sparklines; p99 = worst per-core \
          online P99, poll = cores in NAPI polling mode, power = chip \
          milliwatts; low..high maps to ` .:-=+*#%@`]\n",
     );
-    if !sampled {
-        body.push_str(
-            "\n(timeline telemetry absent: rebuild with `--features obs` to \
-             populate the sparkline columns)\n",
-        );
-    }
     let headers = [
         "gov/load", "rows", "iv-us", "dec", "drop", "p99", "poll", "power",
     ];
@@ -121,7 +114,6 @@ mod tests {
         assert!(fig.body.contains("p99"));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn cells_record_bounded_timelines() {
         let results = sweep(Scale::Quick, &Supervisor::new());
@@ -135,7 +127,5 @@ mod tests {
                 r.governor
             );
         }
-        let fig = render(&results);
-        assert!(!fig.body.contains("timeline telemetry absent"));
     }
 }

@@ -11,6 +11,9 @@ pub struct FigureReport {
     pub title: String,
     /// The rendered text (tables + notes).
     pub body: String,
+    /// Typed checks the artifact asserts that did not hold. Not part
+    /// of the rendered text; `repro` exits non-zero when any is set.
+    pub failed_checks: Vec<String>,
 }
 
 impl FigureReport {
@@ -20,6 +23,7 @@ impl FigureReport {
             id: id.into(),
             title: title.into(),
             body,
+            failed_checks: Vec::new(),
         }
     }
 }

@@ -105,8 +105,8 @@ pub struct RunConfig {
     pub duration: SimDuration,
     /// Collect per-event traces (timeline figures).
     pub collect_traces: bool,
-    /// Deterministic fault schedule (chaos runs). Empty by default;
-    /// inert without the `fault` feature. The plan's own seed (or the
+    /// Deterministic fault schedule (chaos runs). Empty by default.
+    /// The plan's own seed (or the
     /// run seed when unset) travels with the config, so
     /// [`run_many`] reproduces serial runs exactly.
     pub fault_plan: FaultPlan,
@@ -326,8 +326,8 @@ pub struct RunResult {
     /// SLO watchdog summary: violation episodes, time-to-detect,
     /// time-to-recover. Always populated.
     pub watchdog: WatchdogReport,
-    /// Counters for every fault actually injected. All zero without
-    /// the `fault` feature or with an empty plan.
+    /// Counters for every fault actually injected. All zero with an
+    /// empty plan.
     pub faults: FaultStats,
     /// Governor graceful-degradation counters (NMAP's safe-fallback
     /// state machine; zero for governors without one).
@@ -496,23 +496,22 @@ fn run_inner(
             trace: tb.trace.clone(),
         }
     });
-    // Self-audit: with the `audit` feature on, every run proves its
-    // conservation identities before reporting metrics. A violation
-    // is a typed error, so a sweep supervisor can quarantine the cell
-    // instead of losing the whole sweep to a panic.
-    if let Some(report) = tb.audit_report(end) {
-        if !report.is_balanced() {
-            let listing = report
-                .violations()
-                .iter()
-                .map(|c| format!("  {c}"))
-                .collect::<Vec<_>>()
-                .join("\n");
-            return Err(SimError::Accounting {
-                context: "conservation audit",
-                reason: listing,
-            });
-        }
+    // Self-audit: every run proves its conservation identities
+    // before reporting metrics. A violation is a typed error, so a
+    // sweep supervisor can quarantine the cell instead of losing the
+    // whole sweep to a panic.
+    let report = tb.audit_report(end).unwrap_or_default();
+    if !report.is_balanced() {
+        let listing = report
+            .violations()
+            .iter()
+            .map(|c| format!("  {c}"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        return Err(SimError::Accounting {
+            context: "conservation audit",
+            reason: listing,
+        });
     }
     // Join the fault schedule with the watchdog's violation episodes:
     // per-fault time-to-recover, the report's recovery-time metric.

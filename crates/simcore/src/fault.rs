@@ -7,15 +7,11 @@
 //! from the plan seed, scheduled kinds are pure functions of the
 //! scope, so the same seed and the same plan replay byte-identically.
 //!
-//! # Zero cost when disabled
+//! # Inert without a plan
 //!
-//! The module is gated on the `fault` cargo feature exactly like
-//! `audit` and `obs`: with the feature off the injector is a
-//! zero-sized type whose queries are empty `#[inline]` bodies, and
-//! [`FaultInjector::ENABLED`] is `false`. With the feature on but an
-//! empty plan, no RNG is ever drawn and no fault events exist, so
-//! fault-free runs remain bit-identical to a build without the
-//! feature.
+//! With an empty plan no RNG is ever drawn and no fault events exist,
+//! so a fault-free run is bit-identical to one that never built an
+//! injector.
 //!
 //! # Examples
 //!
@@ -30,14 +26,11 @@
 //!         FaultScope::window(SimTime::ZERO, SimTime::from_millis(10)),
 //!     );
 //! let mut inj = FaultInjector::from_plan(&plan, 7);
-//! if FaultInjector::ENABLED {
-//!     assert!(inj.is_active());
-//! }
+//! assert!(inj.is_active());
 //! // Outside every scope the query is a cheap miss.
 //! assert!(inj.wire_drop(SimTime::from_millis(20), 0).is_none());
 //! ```
 
-#[cfg(feature = "fault")]
 use crate::rng::RngStream;
 use crate::time::{SimDuration, SimTime};
 
@@ -499,22 +492,15 @@ pub enum WireFault {
 
 /// Upper bound on retained injection-log entries; applications keep
 /// counting in [`FaultStats`] after the log saturates.
-#[cfg(feature = "fault")]
 const LOG_CAP: usize = 4096;
 
 /// Evaluates a [`FaultPlan`] at the simulation's hook points.
-///
-/// Zero-sized and inert without the `fault` feature; see the
-/// [module docs](self).
+/// See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
-    #[cfg(feature = "fault")]
     plan: FaultPlan,
-    #[cfg(feature = "fault")]
     rng: RngStream,
-    #[cfg(feature = "fault")]
     stats: FaultStats,
-    #[cfg(feature = "fault")]
     log: Vec<(SimTime, &'static str, u32)>,
 }
 
@@ -525,9 +511,9 @@ impl Default for FaultInjector {
 }
 
 impl FaultInjector {
-    /// True when the crate was built with the `fault` feature and
-    /// injectors actually inject.
-    pub const ENABLED: bool = cfg!(feature = "fault");
+    /// Always true: injectors always inject. Kept because the
+    /// `perfbench` benchmark reads it.
+    pub const ENABLED: bool = true;
 
     /// An injector with no plan (injects nothing).
     pub fn disabled() -> Self {
@@ -538,74 +524,37 @@ impl FaultInjector {
     /// from the plan's own seed when set, else from `master_seed` —
     /// either way it is separate from every model stream.
     pub fn from_plan(plan: &FaultPlan, master_seed: u64) -> Self {
-        #[cfg(feature = "fault")]
-        {
-            let seed = plan.seed.unwrap_or(master_seed);
-            FaultInjector {
-                plan: plan.clone(),
-                rng: RngStream::derive(seed, "fault", 0),
-                stats: FaultStats::default(),
-                log: Vec::new(),
-            }
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (plan, master_seed);
-            FaultInjector {}
+        let seed = plan.seed.unwrap_or(master_seed);
+        FaultInjector {
+            plan: plan.clone(),
+            rng: RngStream::derive(seed, "fault", 0),
+            stats: FaultStats::default(),
+            log: Vec::new(),
         }
     }
 
-    /// True if the feature is on and the plan schedules anything.
+    /// True if the plan schedules anything.
     #[inline]
     pub fn is_active(&self) -> bool {
-        #[cfg(feature = "fault")]
-        {
-            !self.plan.specs.is_empty()
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            false
-        }
+        !self.plan.specs.is_empty()
     }
 
     /// The plan's specs (empty when inactive) — used by the driver to
     /// schedule scope-boundary events.
     pub fn specs(&self) -> &[FaultSpec] {
-        #[cfg(feature = "fault")]
-        {
-            &self.plan.specs
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            &[]
-        }
+        &self.plan.specs
     }
 
     /// Counters of faults applied so far.
     pub fn stats(&self) -> FaultStats {
-        #[cfg(feature = "fault")]
-        {
-            self.stats
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            FaultStats::default()
-        }
+        self.stats
     }
 
     /// Bounded log of applied injections `(time, label, core)`.
     pub fn log(&self) -> &[(SimTime, &'static str, u32)] {
-        #[cfg(feature = "fault")]
-        {
-            &self.log
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            &[]
-        }
+        &self.log
     }
 
-    #[cfg(feature = "fault")]
     fn note(&mut self, now: SimTime, label: &'static str, core: u32) {
         if self.log.len() < LOG_CAP {
             self.log.push((now, label, core));
@@ -621,314 +570,222 @@ impl FaultInjector {
     /// [`note_wire_response_dropped`]: Self::note_wire_response_dropped
     #[inline]
     pub fn wire_drop(&mut self, now: SimTime, core: usize) -> Option<WireFault> {
-        #[cfg(feature = "fault")]
-        {
-            if !self.is_active() {
-                return None;
-            }
-            let FaultInjector { plan, rng, log, .. } = self;
-            for spec in &plan.specs {
-                if !spec.scope.covers(now, Some(core)) {
-                    continue;
-                }
-                match spec.kind {
-                    FaultKind::WireDrop { prob } if rng.chance(prob) => {
-                        if log.len() < LOG_CAP {
-                            log.push((now, "wire-drop", core as u32));
-                        }
-                        return Some(WireFault::Dropped);
-                    }
-                    FaultKind::WireCorrupt { prob } if rng.chance(prob) => {
-                        if log.len() < LOG_CAP {
-                            log.push((now, "wire-corrupt", core as u32));
-                        }
-                        return Some(WireFault::Corrupted);
-                    }
-                    _ => {}
-                }
-            }
-            None
+        if !self.is_active() {
+            return None;
         }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, core);
-            None
+        let FaultInjector { plan, rng, log, .. } = self;
+        for spec in &plan.specs {
+            if !spec.scope.covers(now, Some(core)) {
+                continue;
+            }
+            match spec.kind {
+                FaultKind::WireDrop { prob } if rng.chance(prob) => {
+                    if log.len() < LOG_CAP {
+                        log.push((now, "wire-drop", core as u32));
+                    }
+                    return Some(WireFault::Dropped);
+                }
+                FaultKind::WireCorrupt { prob } if rng.chance(prob) => {
+                    if log.len() < LOG_CAP {
+                        log.push((now, "wire-corrupt", core as u32));
+                    }
+                    return Some(WireFault::Corrupted);
+                }
+                _ => {}
+            }
         }
+        None
     }
 
     /// Records a request lost to [`wire_drop`](Self::wire_drop).
     #[inline]
     pub fn note_wire_request_dropped(&mut self) {
-        #[cfg(feature = "fault")]
-        {
-            self.stats.wire_requests_dropped += 1;
-        }
+        self.stats.wire_requests_dropped += 1;
     }
 
     /// Records a response lost to [`wire_drop`](Self::wire_drop).
     #[inline]
     pub fn note_wire_response_dropped(&mut self) {
-        #[cfg(feature = "fault")]
-        {
-            self.stats.wire_responses_dropped += 1;
-        }
+        self.stats.wire_responses_dropped += 1;
     }
 
     /// Should a delivered IRQ on `core` be lost?
     #[inline]
     pub fn irq_lost(&mut self, now: SimTime, core: usize) -> bool {
-        #[cfg(feature = "fault")]
-        {
-            if !self.is_active() {
-                return false;
-            }
-            let FaultInjector {
-                plan,
-                rng,
-                stats,
-                log,
-            } = self;
-            for spec in &plan.specs {
-                if let FaultKind::IrqLoss { prob } = spec.kind {
-                    if spec.scope.covers(now, Some(core)) && rng.chance(prob) {
-                        stats.irqs_lost += 1;
-                        if log.len() < LOG_CAP {
-                            log.push((now, "irq-loss", core as u32));
-                        }
-                        return true;
+        if !self.is_active() {
+            return false;
+        }
+        let FaultInjector {
+            plan,
+            rng,
+            stats,
+            log,
+        } = self;
+        for spec in &plan.specs {
+            if let FaultKind::IrqLoss { prob } = spec.kind {
+                if spec.scope.covers(now, Some(core)) && rng.chance(prob) {
+                    stats.irqs_lost += 1;
+                    if log.len() < LOG_CAP {
+                        log.push((now, "irq-loss", core as u32));
                     }
+                    return true;
                 }
             }
-            false
         }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, core);
-            false
-        }
+        false
     }
 
     /// Records a spurious IRQ assertion.
     #[inline]
     pub fn note_spurious_irq(&mut self, now: SimTime, core: usize) {
-        #[cfg(feature = "fault")]
-        {
-            self.stats.spurious_irqs += 1;
-            self.note(now, "spurious-irq", core as u32);
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, core);
-        }
+        self.stats.spurious_irqs += 1;
+        self.note(now, "spurious-irq", core as u32);
     }
 
     /// Is the IRQ unmask write on `core` blocked by a stuck mask?
     #[inline]
     pub fn irq_mask_stuck(&mut self, now: SimTime, core: usize) -> bool {
-        #[cfg(feature = "fault")]
-        {
-            if !self.is_active() {
-                return false;
-            }
-            let hit = self.plan.specs.iter().any(|spec| {
-                matches!(spec.kind, FaultKind::StuckIrqMask) && spec.scope.covers(now, Some(core))
-            });
-            if hit {
-                self.stats.irq_unmasks_blocked += 1;
-                self.note(now, "stuck-irq-mask", core as u32);
-            }
-            hit
+        if !self.is_active() {
+            return false;
         }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, core);
-            false
+        let hit = self.plan.specs.iter().any(|spec| {
+            matches!(spec.kind, FaultKind::StuckIrqMask) && spec.scope.covers(now, Some(core))
+        });
+        if hit {
+            self.stats.irq_unmasks_blocked += 1;
+            self.note(now, "stuck-irq-mask", core as u32);
         }
+        hit
     }
 
     /// The ITR override in force, if any (last matching spec wins).
     #[inline]
     pub fn itr_override(&self, now: SimTime) -> Option<SimDuration> {
-        #[cfg(feature = "fault")]
-        {
-            let mut out = None;
-            for spec in &self.plan.specs {
-                if let FaultKind::ItrOverride { itr } = spec.kind {
-                    if spec.scope.covers(now, None) {
-                        out = Some(itr);
-                    }
+        let mut out = None;
+        for spec in &self.plan.specs {
+            if let FaultKind::ItrOverride { itr } = spec.kind {
+                if spec.scope.covers(now, None) {
+                    out = Some(itr);
                 }
             }
-            out
         }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = now;
-            None
-        }
+        out
     }
 
     /// The Rx-ring capacity clamp in force, if any (tightest wins).
     #[inline]
     pub fn rx_ring_clamp(&self, now: SimTime) -> Option<usize> {
-        #[cfg(feature = "fault")]
-        {
-            let mut out: Option<usize> = None;
-            for spec in &self.plan.specs {
-                if let FaultKind::RxRingClamp { capacity } = spec.kind {
-                    if spec.scope.covers(now, None) {
-                        out = Some(out.map_or(capacity, |c| c.min(capacity)));
-                    }
+        let mut out: Option<usize> = None;
+        for spec in &self.plan.specs {
+            if let FaultKind::RxRingClamp { capacity } = spec.kind {
+                if spec.scope.covers(now, None) {
+                    out = Some(out.map_or(capacity, |c| c.min(capacity)));
                 }
             }
-            out
         }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = now;
-            None
-        }
+        out
     }
 
     /// Is this ksoftirqd wakeup on `core` missed? Returns the recovery
     /// delay if so.
     #[inline]
     pub fn wake_delay(&mut self, now: SimTime, core: usize) -> Option<SimDuration> {
-        #[cfg(feature = "fault")]
-        {
-            if !self.is_active() {
-                return None;
-            }
-            let FaultInjector {
-                plan,
-                rng,
-                stats,
-                log,
-            } = self;
-            for spec in &plan.specs {
-                if let FaultKind::MissedKsoftirqdWake { delay, prob } = spec.kind {
-                    if spec.scope.covers(now, Some(core)) && rng.chance(prob) {
-                        stats.wakes_delayed += 1;
-                        if log.len() < LOG_CAP {
-                            log.push((now, "missed-wake", core as u32));
-                        }
-                        return Some(delay);
+        if !self.is_active() {
+            return None;
+        }
+        let FaultInjector {
+            plan,
+            rng,
+            stats,
+            log,
+        } = self;
+        for spec in &plan.specs {
+            if let FaultKind::MissedKsoftirqdWake { delay, prob } = spec.kind {
+                if spec.scope.covers(now, Some(core)) && rng.chance(prob) {
+                    stats.wakes_delayed += 1;
+                    if log.len() < LOG_CAP {
+                        log.push((now, "missed-wake", core as u32));
                     }
+                    return Some(delay);
                 }
             }
-            None
         }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, core);
-            None
-        }
+        None
     }
 
     /// The poll-budget clamp in force on `core`, if any (tightest
     /// wins; the caller should floor the result at 1).
     #[inline]
     pub fn poll_budget_clamp(&mut self, now: SimTime, core: usize) -> Option<usize> {
-        #[cfg(feature = "fault")]
-        {
-            if !self.is_active() {
-                return None;
-            }
-            let mut out: Option<usize> = None;
-            for spec in &self.plan.specs {
-                if let FaultKind::PollBudgetClamp { budget } = spec.kind {
-                    if spec.scope.covers(now, Some(core)) {
-                        out = Some(out.map_or(budget, |b| b.min(budget)));
-                    }
+        if !self.is_active() {
+            return None;
+        }
+        let mut out: Option<usize> = None;
+        for spec in &self.plan.specs {
+            if let FaultKind::PollBudgetClamp { budget } = spec.kind {
+                if spec.scope.covers(now, Some(core)) {
+                    out = Some(out.map_or(budget, |b| b.min(budget)));
                 }
             }
-            if out.is_some() {
-                self.stats.polls_clamped += 1;
-            }
-            out
         }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, core);
-            None
+        if out.is_some() {
+            self.stats.polls_clamped += 1;
         }
+        out
     }
 
     /// Should this NAPI poll-batch signal be hidden from the governor?
     #[inline]
     pub fn signal_suppressed(&mut self, now: SimTime, core: usize) -> bool {
-        #[cfg(feature = "fault")]
-        {
-            if !self.is_active() {
-                return false;
-            }
-            let FaultInjector {
-                plan,
-                rng,
-                stats,
-                log,
-            } = self;
-            for spec in &plan.specs {
-                if let FaultKind::NapiSignalLoss { prob } = spec.kind {
-                    if spec.scope.covers(now, Some(core)) && rng.chance(prob) {
-                        stats.signals_suppressed += 1;
-                        if log.len() < LOG_CAP {
-                            log.push((now, "napi-signal-loss", core as u32));
-                        }
-                        return true;
+        if !self.is_active() {
+            return false;
+        }
+        let FaultInjector {
+            plan,
+            rng,
+            stats,
+            log,
+        } = self;
+        for spec in &plan.specs {
+            if let FaultKind::NapiSignalLoss { prob } = spec.kind {
+                if spec.scope.covers(now, Some(core)) && rng.chance(prob) {
+                    stats.signals_suppressed += 1;
+                    if log.len() < LOG_CAP {
+                        log.push((now, "napi-signal-loss", core as u32));
                     }
+                    return true;
                 }
             }
-            false
         }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, core);
-            false
-        }
+        false
     }
 
     /// Records a stale NAPI signal replayed to the governor.
     #[inline]
     pub fn note_signal_replayed(&mut self, now: SimTime, core: usize) {
-        #[cfg(feature = "fault")]
-        {
-            self.stats.signals_replayed += 1;
-            self.note(now, "napi-signal-stuck", core as u32);
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, core);
-        }
+        self.stats.signals_replayed += 1;
+        self.note(now, "napi-signal-stuck", core as u32);
     }
 
     /// Extra DVFS write latency in force (sum of active spikes), and a
     /// bump of the counter when nonzero.
     #[inline]
     pub fn dvfs_padding(&mut self, now: SimTime) -> SimDuration {
-        #[cfg(feature = "fault")]
-        {
-            if !self.is_active() {
-                return SimDuration::ZERO;
-            }
-            let mut pad = SimDuration::ZERO;
-            for spec in &self.plan.specs {
-                if let FaultKind::DvfsLatencySpike { extra } = spec.kind {
-                    if spec.scope.covers(now, None) {
-                        pad += extra;
-                    }
+        if !self.is_active() {
+            return SimDuration::ZERO;
+        }
+        let mut pad = SimDuration::ZERO;
+        for spec in &self.plan.specs {
+            if let FaultKind::DvfsLatencySpike { extra } = spec.kind {
+                if spec.scope.covers(now, None) {
+                    pad += extra;
                 }
             }
-            if !pad.is_zero() {
-                self.stats.dvfs_delays += 1;
-            }
-            pad
         }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = now;
-            SimDuration::ZERO
+        if !pad.is_zero() {
+            self.stats.dvfs_delays += 1;
         }
+        pad
     }
 
     /// Clamps a requested P-state index under active thermal
@@ -936,29 +793,21 @@ impl FaultInjector {
     /// requests to the floor index). Returns the effective index.
     #[inline]
     pub fn clamp_pstate(&mut self, now: SimTime, target_index: u8) -> u8 {
-        #[cfg(feature = "fault")]
-        {
-            if !self.is_active() {
-                return target_index;
-            }
-            let mut floor_index = 0u8;
-            for spec in &self.plan.specs {
-                if let FaultKind::ThermalThrottle { floor } = spec.kind {
-                    if spec.scope.covers(now, None) {
-                        floor_index = floor_index.max(floor);
-                    }
+        if !self.is_active() {
+            return target_index;
+        }
+        let mut floor_index = 0u8;
+        for spec in &self.plan.specs {
+            if let FaultKind::ThermalThrottle { floor } = spec.kind {
+                if spec.scope.covers(now, None) {
+                    floor_index = floor_index.max(floor);
                 }
             }
-            if target_index < floor_index {
-                self.stats.pstate_clamps += 1;
-                floor_index
-            } else {
-                target_index
-            }
         }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = now;
+        if target_index < floor_index {
+            self.stats.pstate_clamps += 1;
+            floor_index
+        } else {
             target_index
         }
     }
@@ -966,98 +815,61 @@ impl FaultInjector {
     /// The execution stall in force on `core`, if any.
     #[inline]
     pub fn exec_stall(&mut self, now: SimTime, core: usize) -> Option<SimDuration> {
-        #[cfg(feature = "fault")]
-        {
-            if !self.is_active() {
-                return None;
-            }
-            let mut out = SimDuration::ZERO;
-            for spec in &self.plan.specs {
-                if let FaultKind::CoreStall { stall } = spec.kind {
-                    if spec.scope.covers(now, Some(core)) {
-                        out += stall;
-                    }
+        if !self.is_active() {
+            return None;
+        }
+        let mut out = SimDuration::ZERO;
+        for spec in &self.plan.specs {
+            if let FaultKind::CoreStall { stall } = spec.kind {
+                if spec.scope.covers(now, Some(core)) {
+                    out += stall;
                 }
             }
-            if out.is_zero() {
-                None
-            } else {
-                self.stats.exec_stalls += 1;
-                Some(out)
-            }
         }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, core);
+        if out.is_zero() {
             None
+        } else {
+            self.stats.exec_stalls += 1;
+            Some(out)
         }
     }
 
     /// The product of active load-spike factors (1.0 when none).
     #[inline]
     pub fn load_factor(&self, now: SimTime) -> f64 {
-        #[cfg(feature = "fault")]
-        {
-            let mut f = 1.0;
-            for spec in &self.plan.specs {
-                if let FaultKind::LoadSpike { factor } = spec.kind {
-                    if spec.scope.covers(now, None) {
-                        f *= factor;
-                    }
+        let mut f = 1.0;
+        for spec in &self.plan.specs {
+            if let FaultKind::LoadSpike { factor } = spec.kind {
+                if spec.scope.covers(now, None) {
+                    f *= factor;
                 }
             }
-            f
         }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = now;
-            1.0
-        }
+        f
     }
 
     /// Records a load-spec switch driven by a load spike.
     #[inline]
     pub fn note_load_switch(&mut self, now: SimTime) {
-        #[cfg(feature = "fault")]
-        {
-            self.stats.load_switches += 1;
-            self.note(now, "load-spike", 0);
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = now;
-        }
+        self.stats.load_switches += 1;
+        self.note(now, "load-spike", 0);
     }
 
     /// Records one incast-burst request injection.
     #[inline]
     pub fn note_incast_request(&mut self, now: SimTime) {
-        #[cfg(feature = "fault")]
-        {
-            self.stats.incast_requests += 1;
-            // One log entry per burst, not per injected request.
-            if self.log.last().map(|e| e.1) != Some("incast-burst") {
-                self.note(now, "incast-burst", 0);
-            }
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = now;
+        self.stats.incast_requests += 1;
+        // One log entry per burst, not per injected request.
+        if self.log.last().map(|e| e.1) != Some("incast-burst") {
+            self.note(now, "incast-burst", 0);
         }
     }
 
     /// Records a connection-churn rotation.
     #[inline]
     pub fn note_flow_churn(&mut self, now: SimTime) {
-        #[cfg(feature = "fault")]
-        {
-            self.stats.flow_churns += 1;
-            self.note(now, "connection-churn", 0);
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = now;
-        }
+        self.stats.flow_churns += 1;
+        self.note(now, "connection-churn", 0);
     }
 
     /// Is `server` inside an active [`ServerCrash`] scope? Fleet-tier
@@ -1066,158 +878,89 @@ impl FaultInjector {
     /// [`ServerCrash`]: FaultKind::ServerCrash
     #[inline]
     pub fn server_crashed(&self, now: SimTime, server: usize) -> bool {
-        #[cfg(feature = "fault")]
-        {
-            self.plan.specs.iter().any(|spec| {
-                matches!(spec.kind, FaultKind::ServerCrash) && spec.scope.covers(now, Some(server))
-            })
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, server);
-            false
-        }
+        self.plan.specs.iter().any(|spec| {
+            matches!(spec.kind, FaultKind::ServerCrash) && spec.scope.covers(now, Some(server))
+        })
     }
 
     /// Records a server-crash onset at the fleet tier.
     #[inline]
     pub fn note_server_crash(&mut self, now: SimTime, server: usize) {
-        #[cfg(feature = "fault")]
-        {
-            self.stats.server_crashes += 1;
-            self.note(now, "server-crash", server as u32);
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, server);
-        }
+        self.stats.server_crashes += 1;
+        self.note(now, "server-crash", server as u32);
     }
 
     /// Records a server recovery (a crash scope ending).
     #[inline]
     pub fn note_server_recover(&mut self, now: SimTime, server: usize) {
-        #[cfg(feature = "fault")]
-        {
-            self.stats.server_recoveries += 1;
-            self.note(now, "server-recover", server as u32);
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, server);
-        }
+        self.stats.server_recoveries += 1;
+        self.note(now, "server-recover", server as u32);
     }
 
     /// Is the load balancer's health view frozen right now?
     #[inline]
     pub fn health_view_stale(&self, now: SimTime) -> bool {
-        #[cfg(feature = "fault")]
-        {
-            self.plan.specs.iter().any(|spec| {
-                matches!(spec.kind, FaultKind::HealthViewStale) && spec.scope.covers(now, None)
-            })
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = now;
-            false
-        }
+        self.plan.specs.iter().any(|spec| {
+            matches!(spec.kind, FaultKind::HealthViewStale) && spec.scope.covers(now, None)
+        })
     }
 
     /// Records a probe result discarded by a stale health view.
     #[inline]
     pub fn note_stale_probe(&mut self, now: SimTime, server: usize) {
-        #[cfg(feature = "fault")]
-        {
-            self.stats.stale_probes += 1;
-            self.note(now, "health-view-stale", server as u32);
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, server);
-        }
+        self.stats.stale_probes += 1;
+        self.note(now, "health-view-stale", server as u32);
     }
 
     /// Extra LB↔server link latency in force toward `server` (sum of
     /// active spikes), bumping the counter when nonzero.
     #[inline]
     pub fn link_extra(&mut self, now: SimTime, server: usize) -> SimDuration {
-        #[cfg(feature = "fault")]
-        {
-            if !self.is_active() {
-                return SimDuration::ZERO;
-            }
-            let mut pad = SimDuration::ZERO;
-            for spec in &self.plan.specs {
-                if let FaultKind::LinkLatencySpike { extra } = spec.kind {
-                    if spec.scope.covers(now, Some(server)) {
-                        pad += extra;
-                    }
+        if !self.is_active() {
+            return SimDuration::ZERO;
+        }
+        let mut pad = SimDuration::ZERO;
+        for spec in &self.plan.specs {
+            if let FaultKind::LinkLatencySpike { extra } = spec.kind {
+                if spec.scope.covers(now, Some(server)) {
+                    pad += extra;
                 }
             }
-            if !pad.is_zero() {
-                self.stats.link_delays += 1;
-            }
-            pad
         }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, server);
-            SimDuration::ZERO
+        if !pad.is_zero() {
+            self.stats.link_delays += 1;
         }
+        pad
     }
 
     /// Is the LB↔server link toward `server` severed right now?
     #[inline]
     pub fn link_partitioned(&self, now: SimTime, server: usize) -> bool {
-        #[cfg(feature = "fault")]
-        {
-            self.plan.specs.iter().any(|spec| {
-                matches!(spec.kind, FaultKind::LinkPartition)
-                    && spec.scope.covers(now, Some(server))
-            })
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, server);
-            false
-        }
+        self.plan.specs.iter().any(|spec| {
+            matches!(spec.kind, FaultKind::LinkPartition) && spec.scope.covers(now, Some(server))
+        })
     }
 
     /// Records an attempt lost to a severed link.
     #[inline]
     pub fn note_partition_drop(&mut self, now: SimTime, server: usize) {
-        #[cfg(feature = "fault")]
-        {
-            self.stats.partition_drops += 1;
-            self.note(now, "link-partition", server as u32);
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, server);
-        }
+        self.stats.partition_drops += 1;
+        self.note(now, "link-partition", server as u32);
     }
 
     /// The active hash-skew `(factor, target_server)`, if any (last
     /// matching spec wins). An unpinned scope targets server 0.
     #[inline]
     pub fn hash_skew(&self, now: SimTime) -> Option<(f64, usize)> {
-        #[cfg(feature = "fault")]
-        {
-            let mut out = None;
-            for spec in &self.plan.specs {
-                if let FaultKind::HashSkew { factor } = spec.kind {
-                    if spec.scope.covers(now, None) {
-                        out = Some((factor, spec.scope.core.unwrap_or(0)));
-                    }
+        let mut out = None;
+        for spec in &self.plan.specs {
+            if let FaultKind::HashSkew { factor } = spec.kind {
+                if spec.scope.covers(now, None) {
+                    out = Some((factor, spec.scope.core.unwrap_or(0)));
                 }
             }
-            out
         }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = now;
-            None
-        }
+        out
     }
 
     /// Is the admission policy bypassed on `core` right now? Bumps
@@ -1225,40 +968,24 @@ impl FaultInjector {
     /// request that would have been shed but was not.
     #[inline]
     pub fn admission_bypassed(&mut self, now: SimTime, core: usize) -> bool {
-        #[cfg(feature = "fault")]
-        {
-            if !self.is_active() {
-                return false;
-            }
-            let hit = self.plan.specs.iter().any(|spec| {
-                matches!(spec.kind, FaultKind::AdmissionDisable)
-                    && spec.scope.covers(now, Some(core))
-            });
-            if hit {
-                self.stats.admission_bypasses += 1;
-                self.note(now, "admission-disable", core as u32);
-            }
-            hit
+        if !self.is_active() {
+            return false;
         }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, core);
-            false
+        let hit = self.plan.specs.iter().any(|spec| {
+            matches!(spec.kind, FaultKind::AdmissionDisable) && spec.scope.covers(now, Some(core))
+        });
+        if hit {
+            self.stats.admission_bypasses += 1;
+            self.note(now, "admission-disable", core as u32);
         }
+        hit
     }
 
     /// Records a steering decision redirected by hash skew.
     #[inline]
     pub fn note_skewed_steer(&mut self, now: SimTime, server: usize) {
-        #[cfg(feature = "fault")]
-        {
-            self.stats.skewed_steers += 1;
-            self.note(now, "hash-skew", server as u32);
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = (now, server);
-        }
+        self.stats.skewed_steers += 1;
+        self.note(now, "hash-skew", server as u32);
     }
 }
 
@@ -1365,10 +1092,6 @@ mod tests {
             FaultScope::window(ms(10), ms(20)),
         );
         let mut inj = FaultInjector::from_plan(&plan, 3);
-        if !FaultInjector::ENABLED {
-            assert!(inj.wire_drop(ms(15), 0).is_none());
-            return;
-        }
         assert!(inj.wire_drop(ms(5), 0).is_none());
         assert_eq!(inj.wire_drop(ms(15), 0), Some(WireFault::Dropped));
         inj.note_wire_request_dropped();
@@ -1388,10 +1111,8 @@ mod tests {
         let da: Vec<bool> = (0..64).map(|i| a.irq_lost(ms(i), 0)).collect();
         let db: Vec<bool> = (0..64).map(|i| b.irq_lost(ms(i), 0)).collect();
         assert_eq!(da, db, "plan seed overrides the master seed");
-        if FaultInjector::ENABLED {
-            assert!(da.iter().any(|&x| x), "p=0.5 over 64 draws");
-            assert!(da.iter().any(|&x| !x));
-        }
+        assert!(da.iter().any(|&x| x), "p=0.5 over 64 draws");
+        assert!(da.iter().any(|&x| !x));
     }
 
     #[test]
@@ -1412,10 +1133,6 @@ mod tests {
                 FaultScope::window(ms(0), ms(50)),
             );
         let inj = FaultInjector::from_plan(&plan, 1);
-        if !FaultInjector::ENABLED {
-            assert_eq!(inj.rx_ring_clamp(ms(20)), None);
-            return;
-        }
         assert_eq!(inj.rx_ring_clamp(ms(5)), Some(64));
         assert_eq!(inj.rx_ring_clamp(ms(20)), Some(16), "tightest clamp wins");
         assert_eq!(inj.rx_ring_clamp(ms(60)), None);
@@ -1429,10 +1146,6 @@ mod tests {
             FaultScope::window(ms(0), ms(100)),
         );
         let mut inj = FaultInjector::from_plan(&plan, 1);
-        if !FaultInjector::ENABLED {
-            assert_eq!(inj.clamp_pstate(ms(1), 0), 0);
-            return;
-        }
         assert_eq!(inj.clamp_pstate(ms(1), 0), 5, "P0 clamped to the floor");
         assert_eq!(inj.clamp_pstate(ms(1), 9), 9, "slow request untouched");
         assert_eq!(inj.stats().pstate_clamps, 1);
@@ -1451,10 +1164,6 @@ mod tests {
                 FaultScope::window(ms(25), ms(75)),
             );
         let inj = FaultInjector::from_plan(&plan, 1);
-        if !FaultInjector::ENABLED {
-            assert_eq!(inj.load_factor(ms(30)), 1.0);
-            return;
-        }
         assert_eq!(inj.load_factor(ms(10)), 2.0);
         assert_eq!(inj.load_factor(ms(30)), 6.0);
         assert_eq!(inj.load_factor(ms(60)), 3.0);
@@ -1562,11 +1271,6 @@ mod tests {
                 FaultScope::window(ms(10), ms(20)).on_core(3),
             );
         let mut inj = FaultInjector::from_plan(&plan, 1);
-        if !FaultInjector::ENABLED {
-            assert!(!inj.server_crashed(ms(15), 2));
-            assert!(inj.hash_skew(ms(15)).is_none());
-            return;
-        }
         assert!(inj.server_crashed(ms(15), 2));
         assert!(!inj.server_crashed(ms(15), 1), "pin restricts the crash");
         assert!(!inj.server_crashed(ms(25), 2), "window is half-open");

@@ -20,12 +20,14 @@
 //!
 //! # Zero cost when disabled
 //!
-//! Everything is gated on the `obs` cargo feature, following the
-//! [`crate::audit`] pattern: with the feature off, [`TraceBuffer`]
-//! and [`MetricsRegistry`] carry no fields and every recording method
-//! is an empty `#[inline]` body, so instrumented call sites compile
-//! to nothing. [`TraceBuffer::ENABLED`] tells collection passes
-//! whether recorded data is meaningful.
+//! The recorders are gated on the `obs` cargo feature: with the
+//! feature off, [`TraceBuffer`] and [`MetricsRegistry`] carry no
+//! fields and every recording method is an empty `#[inline]` body, so
+//! instrumented call sites compile to nothing. [`TraceBuffer::ENABLED`]
+//! tells collection passes whether recorded data is meaningful. The
+//! feature gates only recorders whose output nothing in the
+//! simulation reads; the telemetry bus in [`timeseries`], which
+//! governors read, is compiled in every build.
 //!
 //! # Examples
 //!

@@ -27,9 +27,9 @@
 //! Governors (ROADMAP item 5's adaptive PID/bandit policy) poll the
 //! live sampler through the [`TelemetryTap`] trait during the run —
 //! the bus is a substrate for *online* control, not just a post-hoc
-//! log. Like everything in [`crate::obs`], the sampler is a
-//! zero-sized no-op without the `obs` feature and the tap reports
-//! nothing.
+//! log. Unlike the recorders in [`crate::obs`], the sampler is
+//! compiled in every build, because a governor's decisions may depend
+//! on it; [`TimelineConfig::OFF`] is its only off switch.
 //!
 //! # Examples
 //!
@@ -45,10 +45,8 @@
 //!     s.record_row(SimTime::from_micros(10 * (k + 1)), &row);
 //! }
 //! let tl = s.finish();
-//! if TimeSeriesSampler::ENABLED {
-//!     assert!(tl.rows() <= 4);          // bounded
-//!     assert_eq!(tl.interval_ns, 20_000); // doubled once
-//! }
+//! assert!(tl.rows() <= 4);          // bounded
+//! assert_eq!(tl.interval_ns, 20_000); // doubled once
 //! ```
 //!
 //! [`MetricsRegistry`]: crate::obs::MetricsRegistry
@@ -202,8 +200,8 @@ impl Default for TimelineConfig {
 /// tick (see `PStateGovernor::on_telemetry` in the governors crate),
 /// so an adaptive policy can consume the same multi-gauge feature
 /// vector the timeline records — without owning the sampler or
-/// perturbing it. All methods report "nothing" when the `obs` feature
-/// is off or sampling is disabled, so consumers need no `cfg` gates.
+/// perturbing it. All methods report "nothing" when sampling is
+/// disabled.
 pub trait TelemetryTap {
     /// Number of cores covered by each sample row.
     fn tap_cores(&self) -> usize;
@@ -221,32 +219,19 @@ pub trait TelemetryTap {
 ///
 /// Storage is flat and pre-allocated (`cap` rows × `cores` ×
 /// [`GAUGES`] values); recording and decimation never allocate.
-/// Zero-sized no-op without the `obs` feature.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeriesSampler {
-    #[cfg(feature = "obs")]
     cores: usize,
-    #[cfg(feature = "obs")]
     cap: usize,
-    #[cfg(feature = "obs")]
     base_interval: SimDuration,
-    #[cfg(feature = "obs")]
     interval: SimDuration,
-    #[cfg(feature = "obs")]
     times_ns: Vec<u64>,
-    #[cfg(feature = "obs")]
     values: Vec<i64>,
-    #[cfg(feature = "obs")]
     decimations: u64,
-    #[cfg(feature = "obs")]
     dropped: u64,
 }
 
 impl TimeSeriesSampler {
-    /// True when the crate was built with the `obs` feature and
-    /// samplers actually record.
-    pub const ENABLED: bool = cfg!(feature = "obs");
-
     /// A disabled sampler: every record is skipped.
     pub fn disabled() -> Self {
         Self::default()
@@ -257,94 +242,51 @@ impl TimeSeriesSampler {
     /// therefore disables sampling) so decimation preserves uniform
     /// row spacing.
     pub fn new(cores: usize, config: TimelineConfig) -> Self {
-        #[cfg(feature = "obs")]
-        {
-            let cap = config.cap & !1;
-            let cap = if config.interval.is_zero() { 0 } else { cap };
-            TimeSeriesSampler {
-                cores,
-                cap,
-                base_interval: config.interval,
-                interval: config.interval,
-                times_ns: Vec::with_capacity(cap),
-                values: Vec::with_capacity(cap * cores * GAUGES),
-                decimations: 0,
-                dropped: 0,
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (cores, config);
-            TimeSeriesSampler {}
+        let cap = config.cap & !1;
+        let cap = if config.interval.is_zero() { 0 } else { cap };
+        TimeSeriesSampler {
+            cores,
+            cap,
+            base_interval: config.interval,
+            interval: config.interval,
+            times_ns: Vec::with_capacity(cap),
+            values: Vec::with_capacity(cap * cores * GAUGES),
+            decimations: 0,
+            dropped: 0,
         }
     }
 
     /// True if this sampler records anything at all.
     #[inline]
     pub fn is_recording(&self) -> bool {
-        Self::ENABLED && self.cap() > 0
+        self.cap > 0
     }
 
-    /// The retained-row capacity (0 when disabled or feature off).
+    /// The retained-row capacity (0 when disabled).
     pub fn cap(&self) -> usize {
-        #[cfg(feature = "obs")]
-        {
-            self.cap
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.cap
     }
 
     /// The *current* sampling interval — the base interval doubled
     /// once per decimation. The event loop reschedules its sample
     /// tick at this cadence so the tick rate decays with the buffer.
     pub fn interval(&self) -> SimDuration {
-        #[cfg(feature = "obs")]
-        {
-            self.interval
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            SimDuration::ZERO
-        }
+        self.interval
     }
 
     /// Rows currently retained.
     pub fn rows(&self) -> usize {
-        #[cfg(feature = "obs")]
-        {
-            self.times_ns.len()
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.times_ns.len()
     }
 
     /// Rows discarded by decimation so far.
     pub fn dropped(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.dropped
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.dropped
     }
 
     /// Interval doublings so far.
     pub fn decimations(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.decimations
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.decimations
     }
 
     /// Records one sample row (`row.len()` must be
@@ -354,26 +296,18 @@ impl TimeSeriesSampler {
     /// order; a short row is ignored rather than recorded partially.
     #[inline]
     pub fn record_row(&mut self, now: SimTime, row: &[i64]) {
-        #[cfg(feature = "obs")]
-        {
-            let stride = self.cores * GAUGES;
-            if self.cap == 0 || row.len() != stride {
-                return;
-            }
-            if self.times_ns.len() == self.cap {
-                self.decimate();
-            }
-            self.times_ns.push(now.as_nanos());
-            self.values.extend_from_slice(row);
+        let stride = self.cores * GAUGES;
+        if self.cap == 0 || row.len() != stride {
+            return;
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (now, row);
+        if self.times_ns.len() == self.cap {
+            self.decimate();
         }
+        self.times_ns.push(now.as_nanos());
+        self.values.extend_from_slice(row);
     }
 
     /// Drops every odd-indexed row in place and doubles the interval.
-    #[cfg(feature = "obs")]
     fn decimate(&mut self) {
         let stride = self.cores * GAUGES;
         let old = self.times_ns.len();
@@ -390,76 +324,46 @@ impl TimeSeriesSampler {
         self.interval = SimDuration::from_nanos(self.interval.as_nanos().saturating_mul(2));
     }
 
-    /// Freezes the sampler into a plain-data [`Timeline`] (empty
-    /// without the `obs` feature).
+    /// Freezes the sampler into a plain-data [`Timeline`].
     pub fn finish(&self) -> Timeline {
-        #[cfg(feature = "obs")]
-        {
-            Timeline {
-                cores: self.cores as u32,
-                base_interval_ns: self.base_interval.as_nanos(),
-                interval_ns: self.interval.as_nanos(),
-                decimations: self.decimations,
-                dropped: self.dropped,
-                times_ns: self.times_ns.clone(),
-                values: self.values.clone(),
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            Timeline::default()
+        Timeline {
+            cores: self.cores as u32,
+            base_interval_ns: self.base_interval.as_nanos(),
+            interval_ns: self.interval.as_nanos(),
+            decimations: self.decimations,
+            dropped: self.dropped,
+            times_ns: self.times_ns.clone(),
+            values: self.values.clone(),
         }
     }
 }
 
 impl TelemetryTap for TimeSeriesSampler {
     fn tap_cores(&self) -> usize {
-        #[cfg(feature = "obs")]
-        {
-            self.cores
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.cores
     }
 
     fn last_sample_at(&self) -> Option<SimTime> {
-        #[cfg(feature = "obs")]
-        {
-            self.times_ns.last().map(|&ns| SimTime::from_nanos(ns))
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            None
-        }
+        self.times_ns.last().map(|&ns| SimTime::from_nanos(ns))
     }
 
     fn latest(&self, core: usize, gauge: Gauge) -> Option<i64> {
-        #[cfg(feature = "obs")]
-        {
-            let rows = self.times_ns.len();
-            if rows == 0 || core >= self.cores {
-                return None;
-            }
-            let stride = self.cores * GAUGES;
-            self.values
-                .get((rows - 1) * stride + core * GAUGES + gauge as usize)
-                .copied()
+        let rows = self.times_ns.len();
+        if rows == 0 || core >= self.cores {
+            return None;
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (core, gauge);
-            None
-        }
+        let stride = self.cores * GAUGES;
+        self.values
+            .get((rows - 1) * stride + core * GAUGES + gauge as usize)
+            .copied()
     }
 }
 
 /// The frozen, plain-data form of a run's telemetry timeline.
 ///
-/// Always available regardless of features (an empty value when
-/// sampling was off), all-integer so checkpoint encoding and CSV
-/// rendering are lossless and byte-identical across same-seed runs.
+/// Holds no rows when sampling was off. All-integer, so checkpoint
+/// encoding and CSV rendering are lossless and byte-identical across
+/// same-seed runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Timeline {
     /// Cores covered by each row.
@@ -649,18 +553,12 @@ mod tests {
             1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18, 19,
         ];
         s.record_row(SimTime::from_micros(10), &row);
-        if TimeSeriesSampler::ENABLED {
-            assert_eq!(s.rows(), 1);
-            assert_eq!(s.tap_cores(), 2);
-            assert_eq!(s.last_sample_at(), Some(SimTime::from_micros(10)));
-            assert_eq!(s.latest(0, Gauge::UtilPermille), Some(1));
-            assert_eq!(s.latest(1, Gauge::Flags), Some(18));
-            assert_eq!(s.latest(2, Gauge::Flags), None);
-        } else {
-            assert_eq!(s.rows(), 0);
-            assert_eq!(s.latest(0, Gauge::UtilPermille), None);
-            assert_eq!(s.last_sample_at(), None);
-        }
+        assert_eq!(s.rows(), 1);
+        assert_eq!(s.tap_cores(), 2);
+        assert_eq!(s.last_sample_at(), Some(SimTime::from_micros(10)));
+        assert_eq!(s.latest(0, Gauge::UtilPermille), Some(1));
+        assert_eq!(s.latest(1, Gauge::Flags), Some(18));
+        assert_eq!(s.latest(2, Gauge::Flags), None);
     }
 
     /// The decimation boundary: buffer exactly full, next record
@@ -671,10 +569,6 @@ mod tests {
         let mut s = TimeSeriesSampler::new(1, cfg(10, 4));
         for k in 1..=4u64 {
             s.record_row(SimTime::from_micros(10 * k), &row1(k as i64));
-        }
-        if !TimeSeriesSampler::ENABLED {
-            assert_eq!(s.rows(), 0);
-            return;
         }
         assert_eq!(s.rows(), 4, "exactly full, nothing decimated yet");
         assert_eq!(s.interval(), SimDuration::from_micros(10));
@@ -720,9 +614,6 @@ mod tests {
             t += s.interval();
             s.record_row(t, &row1(k as i64));
         }
-        if !TimeSeriesSampler::ENABLED {
-            return;
-        }
         let tl = s.finish();
         assert!(tl.rows() >= 2 && tl.rows() <= 4);
         let deltas: Vec<u64> = tl.times_ns.windows(2).map(|w| w[1] - w[0]).collect();
@@ -745,7 +636,7 @@ mod tests {
         assert!(!one.is_recording(), "cap 1 cannot decimate; treated as off");
 
         let odd = TimeSeriesSampler::new(1, cfg(10, 5));
-        assert_eq!(odd.cap(), if TimeSeriesSampler::ENABLED { 4 } else { 0 });
+        assert_eq!(odd.cap(), 4);
     }
 
     #[test]
@@ -765,14 +656,10 @@ mod tests {
         assert!(csv.starts_with("time_ns,core,util_permille,pstate,"));
         let om = tl.to_openmetrics();
         assert!(om.ends_with("# EOF\n"));
-        if TimeSeriesSampler::ENABLED {
-            assert!(csv.contains("10000,0,250,0,0,0,0,0,500,0,0"));
-            assert!(om.contains("# TYPE nmap_core_util_permille gauge"));
-            assert!(om.contains("nmap_core_util_permille{core=\"0\"} 250 0.000010000"));
-            assert_eq!(csv, s.finish().to_csv(), "rendering is a pure function");
-        } else {
-            assert_eq!(tl, Timeline::default());
-        }
+        assert!(csv.contains("10000,0,250,0,0,0,0,0,500,0,0"));
+        assert!(om.contains("# TYPE nmap_core_util_permille gauge"));
+        assert!(om.contains("nmap_core_util_permille{core=\"0\"} 250 0.000010000"));
+        assert_eq!(csv, s.finish().to_csv(), "rendering is a pure function");
     }
 
     #[test]
@@ -822,12 +709,5 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), GAUGES);
-    }
-
-    #[test]
-    fn zero_cost_shapes_when_disabled() {
-        if !TimeSeriesSampler::ENABLED {
-            assert_eq!(std::mem::size_of::<TimeSeriesSampler>(), 0);
-        }
     }
 }

@@ -199,14 +199,25 @@ impl Histogram {
         // side's real minimum then dominates (count > 0 here).
         let max = self.max.max(other.max);
         let min = self.min.min(other.min);
-        let mut seen = 0;
-        for (i, (&a, &b)) in self.buckets.iter().zip(&other.buckets).enumerate() {
-            seen += a + b;
-            if seen >= target {
-                return Self::value_of(i).min(max).max(min);
-            }
+        if target > count {
+            return max;
         }
-        max
+        // The answer is the lowest bucket whose prefix count reaches
+        // `target`, i.e. with at most `count - target` samples above
+        // it. Walk down from the max's bucket (everything above it is
+        // empty): the streaming estimators ask for high quantiles on
+        // every telemetry tick, and this visits only the tail.
+        let allowed_above = count - target;
+        let mut i = Self::index_of(max);
+        let mut above = 0;
+        while i > 0 {
+            above += self.buckets[i] + other.buckets[i];
+            if above > allowed_above {
+                break;
+            }
+            i -= 1;
+        }
+        Self::value_of(i).min(max).max(min)
     }
 
     /// Merges another histogram into this one.
@@ -296,7 +307,7 @@ mod tests {
         }
         let mut merged = a.clone();
         merged.merge(&b);
-        for &q in &[0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+        for &q in &[0.0, 0.001, 0.25, 0.5, 0.501, 0.9, 0.99, 0.999, 1.0] {
             assert_eq!(
                 a.merged_quantile(&b, q),
                 merged.value_at_quantile(q),

@@ -61,6 +61,31 @@ FLEET_OVERHEAD = 1.00
 # gate admits everything, so this is pure bookkeeping cost. Absent
 # entries skip the check.
 OVERLOAD_OVERHEAD = 0.03
+# The advisory ratios: (label, numerator bench, denominator bench,
+# ceiling, note appended to a warning).
+RATIOS = [
+    (
+        "timeline_cell 1us-sampler",
+        "timeline_cell/sampler_1us",
+        "timeline_cell/sampler_off",
+        TIMELINE_OVERHEAD,
+        "",
+    ),
+    (
+        "fleet_cell chaos",
+        "fleet_cell/chaos",
+        "fleet_cell/calm",
+        FLEET_OVERHEAD,
+        " — retry/hedge/probe machinery may be storming",
+    ),
+    (
+        "overload_cell admission",
+        "overload_cell/admission_on",
+        "overload_cell/admission_off",
+        OVERLOAD_OVERHEAD,
+        "",
+    ),
+]
 
 
 def load(path):
@@ -118,65 +143,22 @@ def main():
         if seed is not None:
             print(f"{workload:14} wheel speedup {seed:5.2f}x over seed engine")
 
-    # Advisory: telemetry-sampler overhead on the timeline cell, same
-    # run so machine speed cancels. Skipped when the timeline bench
-    # did not run in this lane.
-    for suffix in ("obs_on", "obs_off"):
-        on = current.get(f"timeline_cell/sampler_1us_{suffix}")
-        off = current.get(f"timeline_cell/sampler_off_{suffix}")
+    # Advisory: same-run cost ratios, so machine speed cancels. A pair
+    # whose bench did not run in this lane is skipped.
+    for label, num, den, ceiling, note in RATIOS:
+        on, off = current.get(num), current.get(den)
         if not on or not off:
             continue
         overhead = on / off - 1.0
-        status = "ok" if overhead <= TIMELINE_OVERHEAD else "WARN: over budget"
+        status = "ok" if overhead <= ceiling else "WARN: over budget"
         print(
-            f"timeline_cell  1us-sampler overhead {overhead * 100:+5.2f}% "
-            f"({suffix}, advisory ceiling {TIMELINE_OVERHEAD * 100:.0f}%) {status}"
+            f"{label:26} overhead {overhead * 100:+6.2f}% "
+            f"(advisory ceiling {ceiling * 100:.0f}%) {status}"
         )
-        if overhead > TIMELINE_OVERHEAD:
+        if overhead > ceiling:
             warnings.append(
-                f"timeline_cell ({suffix}): sampling overhead "
-                f"{overhead * 100:.2f}% exceeds {TIMELINE_OVERHEAD * 100:.0f}%"
-            )
-
-    # Advisory: chaos-schedule overhead on the fleet cell, same run
-    # so machine speed cancels. Skipped when the fleet bench did not
-    # run in this lane.
-    for suffix in ("fault_on", "fault_off"):
-        chaos = current.get(f"fleet_cell/chaos_{suffix}")
-        calm = current.get(f"fleet_cell/calm_{suffix}")
-        if not chaos or not calm:
-            continue
-        overhead = chaos / calm - 1.0
-        status = "ok" if overhead <= FLEET_OVERHEAD else "WARN: over budget"
-        print(
-            f"fleet_cell     chaos overhead {overhead * 100:+6.2f}% "
-            f"({suffix}, advisory ceiling {FLEET_OVERHEAD * 100:.0f}%) {status}"
-        )
-        if overhead > FLEET_OVERHEAD:
-            warnings.append(
-                f"fleet_cell ({suffix}): chaos overhead "
-                f"{overhead * 100:.2f}% exceeds {FLEET_OVERHEAD * 100:.0f}% — "
-                "retry/hedge/probe machinery may be storming"
-            )
-
-    # Advisory: admission-gate overhead on the calm overload cell,
-    # same run so machine speed cancels. Skipped when the overload
-    # bench did not run in this lane.
-    for suffix in ("fault_on", "fault_off"):
-        on = current.get(f"overload_cell/admission_on_{suffix}")
-        off = current.get(f"overload_cell/admission_off_{suffix}")
-        if not on or not off:
-            continue
-        overhead = on / off - 1.0
-        status = "ok" if overhead <= OVERLOAD_OVERHEAD else "WARN: over budget"
-        print(
-            f"overload_cell  admission overhead {overhead * 100:+5.2f}% "
-            f"({suffix}, advisory ceiling {OVERLOAD_OVERHEAD * 100:.0f}%) {status}"
-        )
-        if overhead > OVERLOAD_OVERHEAD:
-            warnings.append(
-                f"overload_cell ({suffix}): admission overhead "
-                f"{overhead * 100:.2f}% exceeds {OVERLOAD_OVERHEAD * 100:.0f}%"
+                f"{label}: overhead {overhead * 100:.2f}% exceeds "
+                f"{ceiling * 100:.0f}%{note}"
             )
 
     if warnings:

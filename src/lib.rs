@@ -53,3 +53,18 @@ pub use netsim;
 pub use nmap;
 pub use simcore;
 pub use workload;
+
+#[cfg(test)]
+mod tests {
+    /// The test profile is optimized (`opt-level = 1`) for speed; it
+    /// must still catch what a debug build catches. A `--release` test
+    /// run has neither check, so it fails here too.
+    #[test]
+    #[allow(clippy::assertions_on_constants)]
+    fn test_profile_keeps_debug_checks() {
+        assert!(cfg!(debug_assertions), "debug assertions are off");
+        let max = std::hint::black_box(u8::MAX);
+        let sum = std::panic::catch_unwind(|| max + 1);
+        assert!(sum.is_err(), "overflow checks are off");
+    }
+}

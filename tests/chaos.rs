@@ -3,8 +3,8 @@
 //! robustness contract end to end:
 //!
 //! * every run's conservation audit balances (asserted inside
-//!   [`experiments::run`] with the `audit` feature), with wire drops
-//!   explicitly accounted in the `PacketsFaultDropped` ledger;
+//!   [`experiments::run`]), with wire drops explicitly accounted in
+//!   the `PacketsFaultDropped` ledger;
 //! * no governor wedges into silent request loss — everything sent is
 //!   delivered, explicitly dropped, or still in flight at the cut;
 //! * NMAP's graceful degradation engages under NAPI-signal starvation
@@ -16,7 +16,6 @@
 //!
 //! The rendered artifact is pinned as `tests/golden/quick_chaos.txt`
 //! (regenerate with `UPDATE_GOLDEN=1 cargo test --test chaos`).
-#![cfg(feature = "fault")]
 
 use experiments::figures::chaos::{all_governors, plans, render, sweep};
 use experiments::{run, RunResult, Scale, Supervisor};

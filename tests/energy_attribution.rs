@@ -197,7 +197,6 @@ fn flight_recorder_is_consistent_for_every_governor() {
 /// Conservation must survive fault injection: the chaos schedules
 /// perturb IRQ delivery, wake timing, and DVFS latency, but every
 /// joule still lands in exactly one bucket.
-#[cfg(feature = "fault")]
 #[test]
 fn attribution_stays_exact_under_chaos_schedules() {
     use experiments::figures::chaos::plans;

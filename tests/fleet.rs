@@ -63,7 +63,6 @@ fn all_governors_fleet_serial_matches_parallel() {
     }
 }
 
-#[cfg(feature = "fault")]
 mod crashes {
     use super::*;
     use cluster::HedgePolicy;
@@ -172,7 +171,6 @@ mod crashes {
 /// delays, health transitions, or the conservation roll-up shows up
 /// here immediately. Regenerate with
 /// `UPDATE_GOLDEN=1 cargo test --test fleet`.
-#[cfg(feature = "fault")]
 #[test]
 fn fleet_artifact_matches_golden_fixture() {
     use experiments::figures::fleet::{render, sweep};

@@ -130,7 +130,6 @@ fn quick_scale_metrics_match_golden_fixtures() {
 /// byte-for-byte: the sparkline columns are a pure function of the
 /// sampled gauge series, so any drift in the sampler's cadence,
 /// decimation, or the gauges' integer encodings shows up here.
-#[cfg(feature = "obs")]
 #[test]
 fn timeline_artifact_matches_golden_fixture() {
     let reports = experiments::figures::generate("timeline", Scale::Quick);

@@ -222,9 +222,8 @@ fn fleet_metrics_snapshot_matches_summary() {
             quantile: 0.5,
             floor: SimDuration::from_nanos(1),
         }));
-    // With fault injection compiled in, drop a crash window on server
-    // 1 so ejection/readmission and crash-failure counters go live.
-    #[cfg(feature = "fault")]
+    // Drop a crash window on server 1 so ejection/readmission and
+    // crash-failure counters go live.
     let cfg = {
         use simcore::{FaultKind, FaultPlan, FaultScope, SimTime};
         let ms = |v: u64| SimTime::ZERO + SimDuration::from_millis(v);
@@ -262,11 +261,8 @@ fn fleet_metrics_snapshot_matches_summary() {
     // The eager hedge must actually race real responses.
     assert!(r.hedges > 0, "median-delay hedging produced no hedges");
     assert!(r.suppressed > 0, "winning duplicates must be suppressed");
-    #[cfg(feature = "fault")]
-    {
-        assert!(r.ejections >= 1 && r.readmissions >= 1);
-        assert_eq!(crashes, 1);
-    }
+    assert!(r.ejections >= 1 && r.readmissions >= 1);
+    assert_eq!(crashes, 1);
 }
 
 /// Every `fleet.shed.*` / `fleet.breaker.*` / `retry_budget.*`
@@ -291,7 +287,6 @@ fn assert_overload_counters_reconcile(r: &cluster::FleetResult) {
 /// shed/breaker/budget counters go live and still reconcile exactly
 /// with the run summary — the dashboard view of an overloaded fleet
 /// can never drift from the audited one.
-#[cfg(feature = "fault")]
 #[test]
 fn overload_metrics_reconcile_when_control_engages() {
     use cluster::{run_fleet, FleetConfig, RetryPolicy};

@@ -19,8 +19,6 @@
 //!   `tests/golden/quick_overload.txt`). Regenerate the fixture with
 //!   `UPDATE_GOLDEN=1 cargo test --release --test overload -- --ignored`.
 
-#![cfg(feature = "fault")]
-
 use appsim::AdmissionPolicy;
 use cluster::{run_fleet, run_fleet_many, FleetConfig, GovernorKind, RetryPolicy};
 use experiments::figures::chaos::all_governors;

@@ -303,7 +303,6 @@ fn runs_are_deterministic_for_arbitrary_configs() {
 /// seed) reproduces bit-identically on re-run, and `run_many` matches
 /// serial `run` — the plan and its seed travel with the config into
 /// worker threads.
-#[cfg(feature = "fault")]
 #[test]
 fn fault_runs_are_deterministic_for_arbitrary_plans() {
     use simcore::{FaultKind, FaultPlan, FaultScope};
@@ -383,7 +382,6 @@ fn fault_runs_are_deterministic_for_arbitrary_plans() {
 /// test treats as failure). With overload control drawn in, the
 /// request partition gains its shed term and the shed attempts stay
 /// an audited sub-account of the failed ones.
-#[cfg(feature = "fault")]
 #[test]
 fn fleet_fault_plans_never_violate_conservation() {
     use cluster::FleetConfig;
