@@ -43,9 +43,8 @@
 //! violation turns the run into [`SimError::Accounting`] instead of a
 //! silently wrong result.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::mem;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use appsim::{AdmissionPolicy, AppModel, Testbed, TestbedConfig};
 use cpusim::ProcessorProfile;
@@ -63,12 +62,6 @@ use crate::overload::{
     BreakerPolicy, Brownout, BrownoutPolicy, CircuitBreaker, RetryBudget, RetryBudgetPolicy,
 };
 use crate::ring::{flow_key, HashRing};
-
-/// Locks a mutex, shrugging off poisoning: a panicking worker must
-/// not cascade into every other thread that shares the sweep state.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Client-side timeout and retry discipline for fleet requests.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1657,33 +1650,7 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
 /// `Send`, so each fleet is built and run entirely inside its worker),
 /// preserving input order in the output.
 pub fn run_fleet_many(configs: Vec<FleetConfig>) -> Vec<FleetResult> {
-    if configs.len() <= 1 {
-        return configs.into_iter().map(run_fleet).collect();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(4)
-        .min(configs.len());
-    let jobs: Mutex<VecDeque<(usize, FleetConfig)>> =
-        Mutex::new(configs.into_iter().enumerate().collect());
-    let n = lock(&jobs).len();
-    let results: Mutex<Vec<Option<FleetResult>>> = Mutex::new(vec![None; n]);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let job = lock(&jobs).pop_front();
-                let Some((idx, cfg)) = job else { break };
-                let result = run_fleet(cfg);
-                lock(&results)[idx] = Some(result);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .map(|r| r.expect("worker skipped a job"))
-        .collect()
+    simcore::par_map(configs, run_fleet)
 }
 
 #[cfg(test)]

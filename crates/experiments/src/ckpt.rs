@@ -5,43 +5,46 @@
 //!
 //! # File format
 //!
-//! One JSON object per line (JSONL):
+//! One JSON object per line (JSONL), format version 5:
 //!
-//! * `{"kind":"header","version":1}` — first line of a fresh file;
-//! * `{"kind":"cell","key":"<16-hex>","result":{...}}` — one
-//!   completed cell, floats as IEEE-754 bit patterns for exact
-//!   round-trips;
-//! * `{"kind":"quarantine","key":"<16-hex>","governor":...,
-//!   "error":...,"attempts":N}` — a cell the supervisor gave up on.
+//! * `{"kind":"header","version":5}` — starts every run of lines
+//!   written in this format;
+//! * `{"kind":"cell","key":N,"result":{...}}` — one completed cell;
+//! * `{"kind":"quarantine","key":N,"governor":...,"error":...,
+//!   "attempts":N}` — a cell the supervisor gave up on.
 //!
-//! Loading tolerates torn tails and corrupt lines: anything that
-//! fails to parse or decode is skipped (and counted), because a
+//! Keys are plain integers. Inside `result` every struct is an object
+//! keyed by its Rust field names, every enum is its index in the
+//! type's `ALL` list, and floats and `i64`s travel as their 64-bit
+//! patterns, so every value round-trips exactly.
+//!
+//! Cell and quarantine lines count only after a header whose version
+//! matches [`CHECKPOINT_VERSION`]: a file written in another format
+//! re-runs its cells, and the new results are appended after a fresh
+//! header. Loading tolerates torn tails and corrupt lines: anything
+//! that fails to parse or decode is skipped (and counted), because a
 //! crash mid-append must not invalidate the finished prefix. Cells
 //! that collect traces are never checkpointed — traces are too large
 //! to persist and re-run deterministically anyway.
 
 use crate::json::{self, Value};
 use crate::runner::{RunConfig, RunResult};
+use governors::DegradationStats;
 use simcore::{
-    AttribSummary, FaultStats, RecoverySummary, SimDuration, Stage, StageSummary, WatchdogReport,
+    AttribSummary, CoreEnergySummary, DecisionTrigger, EnergyBreakdown, EnergyComponent,
+    EnergySummary, FaultStats, FlightSummary, GovDecision, HistogramSnapshot, MetricsSnapshot,
+    ModeEnergy, RecoverySummary, SimDuration, SimTime, Stage, StageSummary, Timeline,
+    WatchdogReport,
 };
-use simcore::{
-    CoreEnergySummary, DecisionTrigger, EnergyBreakdown, EnergyComponent, EnergySummary,
-    FlightSummary, GovDecision, ModeEnergy, SimTime,
-};
-use simcore::{HistogramSnapshot, MetricsSnapshot};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
-/// Current checkpoint format version. Version 2 added the energy
-/// attribution and flight-recorder summaries to each cell; version 3
-/// added the telemetry timeline (per-core gauge samples); version 4
-/// widened the timeline stride with the saturation gauge and added
-/// admission-bypass fault stats. Older files simply re-run their
+/// Current checkpoint format version. Version 5 keys every object by
+/// its Rust field names; a file in any other version re-runs its
 /// cells.
-pub const CHECKPOINT_VERSION: u64 = 4;
+pub const CHECKPOINT_VERSION: u64 = 5;
 
 /// Stable content key for a sweep cell: FNV-1a 64 over the config's
 /// `Debug` rendering. Any field change — seed, load, governor,
@@ -103,569 +106,303 @@ impl std::fmt::Display for DecodeError {
 }
 
 // ---------------------------------------------------------------------
-// Encoding
+// The codec
 // ---------------------------------------------------------------------
 
-fn enc_metrics(m: &MetricsSnapshot) -> Value {
-    Value::obj(vec![
-        (
-            "counters",
-            Value::Arr(
-                m.counters
-                    .iter()
-                    .map(|(k, v)| Value::Arr(vec![Value::Str(k.clone()), Value::UInt(*v)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "gauges",
-            Value::Arr(
-                m.gauges
-                    .iter()
-                    .map(|(k, v)| Value::Arr(vec![Value::Str(k.clone()), Value::bits(*v)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "histograms",
-            Value::Arr(
-                m.histograms
-                    .iter()
-                    .map(|(k, h)| Value::Arr(vec![Value::Str(k.clone()), enc_histogram(h)]))
-                    .collect(),
-            ),
-        ),
-    ])
+/// Lossless conversion between a checkpointed type and its JSON form.
+trait Codec: Sized {
+    fn enc(&self) -> Value;
+    fn dec(v: &Value) -> Result<Self, DecodeError>;
 }
 
-fn enc_histogram(h: &HistogramSnapshot) -> Value {
-    Value::obj(vec![
-        ("count", Value::UInt(h.count)),
-        ("sum", Value::UInt(h.sum)),
-        ("max", Value::UInt(h.max)),
-        (
-            "buckets",
-            Value::Arr(
-                h.buckets
-                    .iter()
-                    .map(|&(w, c)| Value::Arr(vec![Value::UInt(u64::from(w)), Value::UInt(c)]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn enc_attrib(a: &AttribSummary) -> Value {
-    Value::obj(vec![
-        ("requests", Value::UInt(a.requests)),
-        ("pending", Value::UInt(a.pending)),
-        ("mismatches", Value::UInt(a.mismatches)),
-        ("attributed_total_ns", Value::UInt(a.attributed_total_ns)),
-        ("e2e_total_ns", Value::UInt(a.e2e_total_ns)),
-        (
-            "stages",
-            Value::Arr(
-                a.stages
-                    .iter()
-                    .map(|s| {
-                        Value::obj(vec![
-                            ("stage", Value::UInt(stage_index(s.stage))),
-                            ("sum_ns", Value::UInt(s.sum_ns)),
-                            ("p50_ns", Value::UInt(s.p50_ns)),
-                            ("p99_ns", Value::UInt(s.p99_ns)),
-                            ("max_ns", Value::UInt(s.max_ns)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn stage_index(stage: Stage) -> u64 {
-    Stage::ALL.iter().position(|&s| s == stage).unwrap_or(0) as u64
-}
-
-fn enc_watchdog(w: &WatchdogReport) -> Value {
-    Value::obj(vec![
-        ("samples", Value::UInt(w.samples)),
-        ("episodes", Value::UInt(u64::from(w.episodes))),
-        ("open_episode", Value::Bool(w.open_episode)),
-        ("first_detect_ns", Value::UInt(w.first_detect_ns)),
-        ("total_violation_ns", Value::UInt(w.total_violation_ns)),
-        ("mean_detect_ns", Value::UInt(w.mean_detect_ns)),
-        ("mean_recover_ns", Value::UInt(w.mean_recover_ns)),
-    ])
-}
-
-fn enc_faults(s: &FaultStats) -> Value {
-    Value::obj(vec![
-        (
-            "wire_requests_dropped",
-            Value::UInt(s.wire_requests_dropped),
-        ),
-        (
-            "wire_responses_dropped",
-            Value::UInt(s.wire_responses_dropped),
-        ),
-        ("irqs_lost", Value::UInt(s.irqs_lost)),
-        ("spurious_irqs", Value::UInt(s.spurious_irqs)),
-        ("irq_unmasks_blocked", Value::UInt(s.irq_unmasks_blocked)),
-        ("wakes_delayed", Value::UInt(s.wakes_delayed)),
-        ("signals_suppressed", Value::UInt(s.signals_suppressed)),
-        ("signals_replayed", Value::UInt(s.signals_replayed)),
-        ("polls_clamped", Value::UInt(s.polls_clamped)),
-        ("dvfs_delays", Value::UInt(s.dvfs_delays)),
-        ("pstate_clamps", Value::UInt(s.pstate_clamps)),
-        ("exec_stalls", Value::UInt(s.exec_stalls)),
-        ("load_switches", Value::UInt(s.load_switches)),
-        ("incast_requests", Value::UInt(s.incast_requests)),
-        ("flow_churns", Value::UInt(s.flow_churns)),
-        ("server_crashes", Value::UInt(s.server_crashes)),
-        ("server_recoveries", Value::UInt(s.server_recoveries)),
-        ("link_delays", Value::UInt(s.link_delays)),
-        ("partition_drops", Value::UInt(s.partition_drops)),
-        ("skewed_steers", Value::UInt(s.skewed_steers)),
-        ("stale_probes", Value::UInt(s.stale_probes)),
-        ("admission_bypasses", Value::UInt(s.admission_bypasses)),
-    ])
-}
-
-fn enc_breakdown(b: &EnergyBreakdown) -> Value {
-    Value::Arr(b.iter().map(|(_, uj)| Value::UInt(uj)).collect())
-}
-
-fn enc_energy(e: &EnergySummary) -> Value {
-    Value::obj(vec![
-        (
-            "cores",
-            Value::Arr(
-                e.cores
-                    .iter()
-                    .map(|c| {
-                        Value::obj(vec![
-                            ("core", Value::UInt(u64::from(c.core))),
-                            ("measured_uj", Value::UInt(c.measured_uj)),
-                            ("breakdown", enc_breakdown(&c.breakdown)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("uncore_uj", Value::UInt(e.uncore_uj)),
-        ("interrupt_uj", Value::UInt(e.modes.interrupt_uj)),
-        ("polling_uj", Value::UInt(e.modes.polling_uj)),
-        ("transition_uj", Value::UInt(e.modes.transition_uj)),
-        ("rapl_clamps", Value::UInt(e.rapl_clamps)),
-    ])
-}
-
-fn enc_flight(f: &FlightSummary) -> Value {
-    Value::obj(vec![
-        ("total", Value::UInt(f.total)),
-        ("evicted", Value::UInt(f.evicted)),
-        ("raises", Value::UInt(f.raises)),
-        ("lowers", Value::UInt(f.lowers)),
-        (
-            "by_trigger",
-            Value::Arr(f.by_trigger.iter().map(|&n| Value::UInt(n)).collect()),
-        ),
-        (
-            "decisions",
-            Value::Arr(
-                f.decisions
-                    .iter()
-                    .map(|d| {
-                        Value::obj(vec![
-                            ("at_ns", Value::UInt(d.at.as_nanos())),
-                            ("core", Value::UInt(u64::from(d.core))),
-                            ("trigger", Value::UInt(d.trigger as u64)),
-                            ("util_permille", Value::UInt(u64::from(d.util_permille))),
-                            ("polling", Value::Bool(d.polling)),
-                            ("queue_depth", Value::UInt(u64::from(d.queue_depth))),
-                            ("from_pstate", Value::UInt(u64::from(d.from_pstate))),
-                            ("to_pstate", Value::UInt(u64::from(d.to_pstate))),
-                            ("chip_wide", Value::Bool(d.chip_wide)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn enc_timeline(t: &simcore::Timeline) -> Value {
-    // Gauge values are i64; they travel as their two's-complement
-    // bit pattern in a u64 (the same lossless trick floats use), so
-    // a resumed sweep's timeline CSV stays byte-identical.
-    Value::obj(vec![
-        ("cores", Value::UInt(u64::from(t.cores))),
-        ("base_interval_ns", Value::UInt(t.base_interval_ns)),
-        ("interval_ns", Value::UInt(t.interval_ns)),
-        ("decimations", Value::UInt(t.decimations)),
-        ("dropped", Value::UInt(t.dropped)),
-        (
-            "times_ns",
-            Value::Arr(t.times_ns.iter().map(|&n| Value::UInt(n)).collect()),
-        ),
-        (
-            "values",
-            Value::Arr(t.values.iter().map(|&v| Value::UInt(v as u64)).collect()),
-        ),
-    ])
-}
-
-fn enc_recovery(r: &RecoverySummary) -> Value {
-    Value::obj(vec![
-        ("attributed", Value::UInt(r.attributed)),
-        ("recovered", Value::UInt(r.recovered)),
-        ("unrecovered", Value::UInt(r.unrecovered)),
-        ("unattributed", Value::UInt(r.unattributed)),
-        ("mean_recovery_ns", Value::UInt(r.mean_recovery_ns)),
-        ("max_recovery_ns", Value::UInt(r.max_recovery_ns)),
-    ])
-}
-
-/// Encodes a trace-free [`RunResult`] for a checkpoint line.
-pub fn encode_result(r: &RunResult) -> Value {
-    let d = &r.degradation;
-    Value::obj(vec![
-        ("governor", Value::Str(r.governor.clone())),
-        ("sleep", Value::Str(r.sleep.clone())),
-        ("sent", Value::UInt(r.sent)),
-        ("received", Value::UInt(r.received)),
-        ("p99_ns", Value::UInt(r.p99.as_nanos())),
-        ("p50_ns", Value::UInt(r.p50.as_nanos())),
-        ("frac_above_slo", Value::bits(r.frac_above_slo)),
-        ("slo_ns", Value::UInt(r.slo.as_nanos())),
-        ("energy_j", Value::bits(r.energy_j)),
-        ("duration_ns", Value::UInt(r.duration.as_nanos())),
-        ("avg_power_w", Value::bits(r.avg_power_w)),
-        ("rx_dropped", Value::UInt(r.rx_dropped)),
-        ("dvfs_transitions", Value::UInt(r.dvfs_transitions)),
-        ("c6_entries", Value::UInt(r.c6_entries)),
-        ("metrics", enc_metrics(&r.metrics)),
-        ("attrib", enc_attrib(&r.attrib)),
-        ("energy", enc_energy(&r.energy)),
-        ("gov_flight", enc_flight(&r.gov_flight)),
-        ("watchdog", enc_watchdog(&r.watchdog)),
-        ("faults", enc_faults(&r.faults)),
-        (
-            "degradation",
-            Value::obj(vec![
-                ("degradations", Value::UInt(d.degradations)),
-                ("recoveries", Value::UInt(d.recoveries)),
-                ("degraded_cores", Value::UInt(d.degraded_cores)),
-            ]),
-        ),
-        ("fault_recovery", enc_recovery(&r.fault_recovery)),
-        ("timeline", enc_timeline(&r.timeline)),
-    ])
-}
-
-// ---------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------
-
-fn need<'v>(v: &'v Value, key: &'static str) -> Result<&'v Value, DecodeError> {
-    v.get(key).ok_or(DecodeError(key))
-}
-
-fn need_u64(v: &Value, key: &'static str) -> Result<u64, DecodeError> {
-    need(v, key)?.as_u64().ok_or(DecodeError(key))
-}
-
-fn need_f64(v: &Value, key: &'static str) -> Result<f64, DecodeError> {
-    need(v, key)?.as_bits_f64().ok_or(DecodeError(key))
-}
-
-fn need_str(v: &Value, key: &'static str) -> Result<String, DecodeError> {
-    Ok(need(v, key)?.as_str().ok_or(DecodeError(key))?.to_string())
-}
-
-fn need_dur(v: &Value, key: &'static str) -> Result<SimDuration, DecodeError> {
-    Ok(SimDuration::from_nanos(need_u64(v, key)?))
-}
-
-fn dec_pairs<T>(
-    v: &Value,
-    key: &'static str,
-    dec: impl Fn(&Value) -> Result<T, DecodeError>,
-) -> Result<Vec<(String, T)>, DecodeError> {
-    need(v, key)?
-        .as_arr()
-        .ok_or(DecodeError(key))?
-        .iter()
-        .map(|pair| {
-            let items = pair.as_arr().ok_or(DecodeError(key))?;
-            match items {
-                [k, payload] => Ok((
-                    k.as_str().ok_or(DecodeError(key))?.to_string(),
-                    dec(payload)?,
-                )),
-                _ => Err(DecodeError(key)),
+/// Implements [`Codec`] for a scalar from one encode and one decode
+/// expression; a decode yielding `None` is an error naming the type.
+macro_rules! codec_leaf {
+    ($($ty:ty => |$x:ident| $enc:expr, |$v:ident| $dec:expr;)*) => {$(
+        impl Codec for $ty {
+            fn enc(&self) -> Value {
+                let $x = self;
+                $enc
             }
-        })
-        .collect()
-}
-
-fn dec_histogram(v: &Value) -> Result<HistogramSnapshot, DecodeError> {
-    let buckets = need(v, "buckets")?
-        .as_arr()
-        .ok_or(DecodeError("buckets"))?
-        .iter()
-        .map(|pair| {
-            let items = pair.as_arr().ok_or(DecodeError("buckets"))?;
-            match items {
-                [w, c] => {
-                    let w = w.as_u64().ok_or(DecodeError("buckets"))?;
-                    let w = u32::try_from(w).map_err(|_| DecodeError("buckets"))?;
-                    Ok((w, c.as_u64().ok_or(DecodeError("buckets"))?))
-                }
-                _ => Err(DecodeError("buckets")),
+            fn dec($v: &Value) -> Result<Self, DecodeError> {
+                $dec.ok_or(DecodeError(stringify!($ty)))
             }
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(HistogramSnapshot {
-        count: need_u64(v, "count")?,
-        sum: need_u64(v, "sum")?,
-        max: need_u64(v, "max")?,
-        buckets,
-    })
+        }
+    )*};
 }
 
-fn dec_metrics(v: &Value) -> Result<MetricsSnapshot, DecodeError> {
-    Ok(MetricsSnapshot {
-        counters: dec_pairs(v, "counters", |p| p.as_u64().ok_or(DecodeError("counters")))?,
-        gauges: dec_pairs(v, "gauges", |p| {
-            p.as_bits_f64().ok_or(DecodeError("gauges"))
-        })?,
-        histograms: dec_pairs(v, "histograms", dec_histogram)?,
-    })
+codec_leaf! {
+    u64 => |n| Value::UInt(*n), |v| v.as_u64();
+    u32 => |n| Value::UInt(u64::from(*n)), |v| v.as_u64().and_then(|n| u32::try_from(n).ok());
+    // Two's-complement bits in a u64, the same lossless trick as f64.
+    i64 => |n| Value::UInt(*n as u64), |v| v.as_u64().map(|n| n as i64);
+    f64 => |f| Value::bits(*f), |v| v.as_bits_f64();
+    bool => |b| Value::Bool(*b), |v| v.as_bool();
+    String => |s| Value::Str(s.clone()), |v| v.as_str().map(str::to_string);
+    SimDuration => |d| Value::UInt(d.as_nanos()), |v| v.as_u64().map(SimDuration::from_nanos);
+    SimTime => |t| Value::UInt(t.as_nanos()), |v| v.as_u64().map(SimTime::from_nanos);
 }
 
-fn dec_attrib(v: &Value) -> Result<AttribSummary, DecodeError> {
-    let stages = need(v, "stages")?
-        .as_arr()
-        .ok_or(DecodeError("stages"))?
-        .iter()
-        .map(|s| {
-            let idx = need_u64(s, "stage")? as usize;
-            let stage = *Stage::ALL.get(idx).ok_or(DecodeError("stage"))?;
-            Ok(StageSummary {
-                stage,
-                sum_ns: need_u64(s, "sum_ns")?,
-                p50_ns: need_u64(s, "p50_ns")?,
-                p99_ns: need_u64(s, "p99_ns")?,
-                max_ns: need_u64(s, "max_ns")?,
-            })
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    Ok(AttribSummary {
-        requests: need_u64(v, "requests")?,
-        pending: need_u64(v, "pending")?,
-        mismatches: need_u64(v, "mismatches")?,
-        attributed_total_ns: need_u64(v, "attributed_total_ns")?,
-        e2e_total_ns: need_u64(v, "e2e_total_ns")?,
-        stages,
-    })
-}
-
-fn dec_watchdog(v: &Value) -> Result<WatchdogReport, DecodeError> {
-    Ok(WatchdogReport {
-        samples: need_u64(v, "samples")?,
-        episodes: u32::try_from(need_u64(v, "episodes")?).map_err(|_| DecodeError("episodes"))?,
-        open_episode: need(v, "open_episode")?
-            .as_bool()
-            .ok_or(DecodeError("open_episode"))?,
-        first_detect_ns: need_u64(v, "first_detect_ns")?,
-        total_violation_ns: need_u64(v, "total_violation_ns")?,
-        mean_detect_ns: need_u64(v, "mean_detect_ns")?,
-        mean_recover_ns: need_u64(v, "mean_recover_ns")?,
-    })
-}
-
-fn dec_faults(v: &Value) -> Result<FaultStats, DecodeError> {
-    Ok(FaultStats {
-        wire_requests_dropped: need_u64(v, "wire_requests_dropped")?,
-        wire_responses_dropped: need_u64(v, "wire_responses_dropped")?,
-        irqs_lost: need_u64(v, "irqs_lost")?,
-        spurious_irqs: need_u64(v, "spurious_irqs")?,
-        irq_unmasks_blocked: need_u64(v, "irq_unmasks_blocked")?,
-        wakes_delayed: need_u64(v, "wakes_delayed")?,
-        signals_suppressed: need_u64(v, "signals_suppressed")?,
-        signals_replayed: need_u64(v, "signals_replayed")?,
-        polls_clamped: need_u64(v, "polls_clamped")?,
-        dvfs_delays: need_u64(v, "dvfs_delays")?,
-        pstate_clamps: need_u64(v, "pstate_clamps")?,
-        exec_stalls: need_u64(v, "exec_stalls")?,
-        load_switches: need_u64(v, "load_switches")?,
-        incast_requests: need_u64(v, "incast_requests")?,
-        flow_churns: need_u64(v, "flow_churns")?,
-        server_crashes: need_u64(v, "server_crashes")?,
-        server_recoveries: need_u64(v, "server_recoveries")?,
-        link_delays: need_u64(v, "link_delays")?,
-        partition_drops: need_u64(v, "partition_drops")?,
-        skewed_steers: need_u64(v, "skewed_steers")?,
-        stale_probes: need_u64(v, "stale_probes")?,
-        admission_bypasses: need_u64(v, "admission_bypasses")?,
-    })
-}
-
-fn need_u32(v: &Value, key: &'static str) -> Result<u32, DecodeError> {
-    u32::try_from(need_u64(v, key)?).map_err(|_| DecodeError(key))
-}
-
-fn need_bool(v: &Value, key: &'static str) -> Result<bool, DecodeError> {
-    need(v, key)?.as_bool().ok_or(DecodeError(key))
-}
-
-fn dec_breakdown(v: &Value) -> Result<EnergyBreakdown, DecodeError> {
-    let slots = v.as_arr().ok_or(DecodeError("breakdown"))?;
-    if slots.len() != EnergyComponent::ALL.len() {
-        return Err(DecodeError("breakdown"));
+impl<T: Codec> Codec for Vec<T> {
+    fn enc(&self) -> Value {
+        Value::Arr(self.iter().map(Codec::enc).collect())
     }
-    let mut out = EnergyBreakdown::default();
-    for (component, slot) in EnergyComponent::ALL.iter().zip(slots) {
-        out.add_uj(*component, slot.as_u64().ok_or(DecodeError("breakdown"))?);
+    fn dec(v: &Value) -> Result<Self, DecodeError> {
+        v.as_arr()
+            .ok_or(DecodeError("Vec"))?
+            .iter()
+            .map(T::dec)
+            .collect()
     }
-    Ok(out)
 }
 
-fn dec_energy(v: &Value) -> Result<EnergySummary, DecodeError> {
-    let cores = need(v, "cores")?
-        .as_arr()
-        .ok_or(DecodeError("cores"))?
-        .iter()
-        .map(|c| {
-            Ok(CoreEnergySummary {
-                core: need_u32(c, "core")?,
-                measured_uj: need_u64(c, "measured_uj")?,
-                breakdown: dec_breakdown(need(c, "breakdown")?)?,
-            })
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    Ok(EnergySummary {
-        cores,
-        uncore_uj: need_u64(v, "uncore_uj")?,
-        modes: ModeEnergy {
-            interrupt_uj: need_u64(v, "interrupt_uj")?,
-            polling_uj: need_u64(v, "polling_uj")?,
-            transition_uj: need_u64(v, "transition_uj")?,
-        },
-        rapl_clamps: need_u64(v, "rapl_clamps")?,
-    })
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn enc(&self) -> Value {
+        Value::Arr(vec![self.0.enc(), self.1.enc()])
+    }
+    fn dec(v: &Value) -> Result<Self, DecodeError> {
+        match v.as_arr() {
+            Some([a, b]) => Ok((A::dec(a)?, B::dec(b)?)),
+            _ => Err(DecodeError("pair")),
+        }
+    }
 }
 
-fn dec_timeline(v: &Value) -> Result<simcore::Timeline, DecodeError> {
-    let times_ns = need(v, "times_ns")?
-        .as_arr()
-        .ok_or(DecodeError("times_ns"))?
-        .iter()
-        .map(|n| n.as_u64().ok_or(DecodeError("times_ns")))
-        .collect::<Result<Vec<_>, _>>()?;
-    let values = need(v, "values")?
-        .as_arr()
-        .ok_or(DecodeError("values"))?
-        .iter()
-        .map(|n| n.as_u64().map(|u| u as i64).ok_or(DecodeError("values")))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(simcore::Timeline {
-        cores: need_u32(v, "cores")?,
-        base_interval_ns: need_u64(v, "base_interval_ns")?,
-        interval_ns: need_u64(v, "interval_ns")?,
-        decimations: need_u64(v, "decimations")?,
-        dropped: need_u64(v, "dropped")?,
-        times_ns,
-        values,
-    })
+/// Encodes each listed enum as its index in the type's `ALL` list.
+macro_rules! codec_enum {
+    ($($ty:ty),*) => {$(
+        impl Codec for $ty {
+            fn enc(&self) -> Value {
+                let idx = <$ty>::ALL.iter().position(|x| x == self).unwrap_or(0);
+                Value::UInt(idx as u64)
+            }
+            fn dec(v: &Value) -> Result<Self, DecodeError> {
+                v.as_u64()
+                    .and_then(|i| <$ty>::ALL.get(usize::try_from(i).ok()?))
+                    .copied()
+                    .ok_or(DecodeError(stringify!($ty)))
+            }
+        }
+    )*};
 }
 
-fn dec_flight(v: &Value) -> Result<FlightSummary, DecodeError> {
-    let by_trigger = need(v, "by_trigger")?
-        .as_arr()
-        .ok_or(DecodeError("by_trigger"))?
-        .iter()
-        .map(|n| n.as_u64().ok_or(DecodeError("by_trigger")))
-        .collect::<Result<Vec<_>, _>>()?;
-    let decisions = need(v, "decisions")?
-        .as_arr()
-        .ok_or(DecodeError("decisions"))?
-        .iter()
-        .map(|d| {
-            let idx = need_u64(d, "trigger")? as usize;
-            let trigger = *DecisionTrigger::ALL
-                .get(idx)
-                .ok_or(DecodeError("trigger"))?;
-            Ok(GovDecision {
-                at: SimTime::from_nanos(need_u64(d, "at_ns")?),
-                core: need_u32(d, "core")?,
-                trigger,
-                util_permille: need_u32(d, "util_permille")?,
-                polling: need_bool(d, "polling")?,
-                queue_depth: need_u32(d, "queue_depth")?,
-                from_pstate: need_u32(d, "from_pstate")?,
-                to_pstate: need_u32(d, "to_pstate")?,
-                chip_wide: need_bool(d, "chip_wide")?,
-            })
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    Ok(FlightSummary {
-        total: need_u64(v, "total")?,
-        evicted: need_u64(v, "evicted")?,
-        raises: need_u64(v, "raises")?,
-        lowers: need_u64(v, "lowers")?,
-        by_trigger,
-        decisions,
-    })
+codec_enum!(Stage, DecisionTrigger);
+
+/// Encodes a struct as an object keyed by its field names. The
+/// decoder builds a complete struct literal, so a field missing from
+/// the list is a compile error rather than a silently re-run cell.
+/// Fields after the `;` are not stored; they decode to the given
+/// value.
+macro_rules! codec_struct {
+    ($ty:ty { $($field:ident),* $(,)? } $(; $($skip:ident: $default:expr),*)?) => {
+        impl Codec for $ty {
+            fn enc(&self) -> Value {
+                Value::obj(vec![$((stringify!($field), self.$field.enc())),*])
+            }
+            fn dec(v: &Value) -> Result<Self, DecodeError> {
+                Ok(Self {
+                    $($field: field(v, stringify!($field))?,)*
+                    $($($skip: $default,)*)?
+                })
+            }
+        }
+    };
 }
 
-/// Decodes a checkpointed [`RunResult`] (always trace-free).
-pub fn decode_result(v: &Value) -> Result<RunResult, DecodeError> {
-    let deg = need(v, "degradation")?;
-    let rec = need(v, "fault_recovery")?;
-    Ok(RunResult {
-        governor: need_str(v, "governor")?,
-        sleep: need_str(v, "sleep")?,
-        sent: need_u64(v, "sent")?,
-        received: need_u64(v, "received")?,
-        p99: need_dur(v, "p99_ns")?,
-        p50: need_dur(v, "p50_ns")?,
-        frac_above_slo: need_f64(v, "frac_above_slo")?,
-        slo: need_dur(v, "slo_ns")?,
-        energy_j: need_f64(v, "energy_j")?,
-        duration: need_dur(v, "duration_ns")?,
-        avg_power_w: need_f64(v, "avg_power_w")?,
-        rx_dropped: need_u64(v, "rx_dropped")?,
-        dvfs_transitions: need_u64(v, "dvfs_transitions")?,
-        c6_entries: need_u64(v, "c6_entries")?,
-        metrics: dec_metrics(need(v, "metrics")?)?,
-        attrib: dec_attrib(need(v, "attrib")?)?,
-        energy: dec_energy(need(v, "energy")?)?,
-        gov_flight: dec_flight(need(v, "gov_flight")?)?,
-        watchdog: dec_watchdog(need(v, "watchdog")?)?,
-        faults: dec_faults(need(v, "faults")?)?,
-        degradation: governors::DegradationStats {
-            degradations: need_u64(deg, "degradations")?,
-            recoveries: need_u64(deg, "recoveries")?,
-            degraded_cores: need_u64(deg, "degraded_cores")?,
-        },
-        fault_recovery: RecoverySummary {
-            attributed: need_u64(rec, "attributed")?,
-            recovered: need_u64(rec, "recovered")?,
-            unrecovered: need_u64(rec, "unrecovered")?,
-            unattributed: need_u64(rec, "unattributed")?,
-            mean_recovery_ns: need_u64(rec, "mean_recovery_ns")?,
-            max_recovery_ns: need_u64(rec, "max_recovery_ns")?,
-        },
-        timeline: dec_timeline(need(v, "timeline")?)?,
-        traces: None,
-    })
+fn field<T: Codec>(v: &Value, key: &'static str) -> Result<T, DecodeError> {
+    T::dec(v.get(key).ok_or(DecodeError(key))?)
+}
+
+codec_struct!(RunResult {
+    governor,
+    sleep,
+    sent,
+    received,
+    p99,
+    p50,
+    frac_above_slo,
+    slo,
+    energy_j,
+    duration,
+    avg_power_w,
+    rx_dropped,
+    dvfs_transitions,
+    c6_entries,
+    metrics,
+    attrib,
+    energy,
+    gov_flight,
+    watchdog,
+    faults,
+    degradation,
+    fault_recovery,
+    timeline,
+}; traces: None);
+codec_struct!(MetricsSnapshot {
+    counters,
+    gauges,
+    histograms,
+});
+codec_struct!(HistogramSnapshot {
+    count,
+    sum,
+    max,
+    buckets,
+});
+codec_struct!(AttribSummary {
+    requests,
+    pending,
+    mismatches,
+    attributed_total_ns,
+    e2e_total_ns,
+    stages,
+});
+codec_struct!(StageSummary {
+    stage,
+    sum_ns,
+    p50_ns,
+    p99_ns,
+    max_ns,
+});
+codec_struct!(WatchdogReport {
+    samples,
+    episodes,
+    open_episode,
+    first_detect_ns,
+    total_violation_ns,
+    mean_detect_ns,
+    mean_recover_ns,
+});
+codec_struct!(FaultStats {
+    wire_requests_dropped,
+    wire_responses_dropped,
+    irqs_lost,
+    spurious_irqs,
+    irq_unmasks_blocked,
+    wakes_delayed,
+    signals_suppressed,
+    signals_replayed,
+    polls_clamped,
+    dvfs_delays,
+    pstate_clamps,
+    exec_stalls,
+    load_switches,
+    incast_requests,
+    flow_churns,
+    server_crashes,
+    server_recoveries,
+    link_delays,
+    partition_drops,
+    skewed_steers,
+    stale_probes,
+    admission_bypasses,
+});
+codec_struct!(EnergySummary {
+    cores,
+    uncore_uj,
+    modes,
+    rapl_clamps,
+});
+codec_struct!(CoreEnergySummary {
+    core,
+    measured_uj,
+    breakdown,
+});
+codec_struct!(ModeEnergy {
+    interrupt_uj,
+    polling_uj,
+    transition_uj,
+});
+codec_struct!(FlightSummary {
+    total,
+    evicted,
+    raises,
+    lowers,
+    by_trigger,
+    decisions,
+});
+codec_struct!(GovDecision {
+    at,
+    core,
+    trigger,
+    util_permille,
+    polling,
+    queue_depth,
+    from_pstate,
+    to_pstate,
+    chip_wide,
+});
+codec_struct!(Timeline {
+    cores,
+    base_interval_ns,
+    interval_ns,
+    decimations,
+    dropped,
+    times_ns,
+    values,
+});
+codec_struct!(RecoverySummary {
+    attributed,
+    recovered,
+    unrecovered,
+    unattributed,
+    mean_recovery_ns,
+    max_recovery_ns,
+});
+codec_struct!(DegradationStats {
+    degradations,
+    recoveries,
+    degraded_cores,
+});
+codec_struct!(QuarantineRecord {
+    key,
+    governor,
+    error,
+    attempts,
+});
+
+/// By hand: the per-component array is private, so it travels in
+/// [`EnergyComponent::ALL`] order (the order `iter` yields).
+impl Codec for EnergyBreakdown {
+    fn enc(&self) -> Value {
+        Value::Arr(self.iter().map(|(_, uj)| uj.enc()).collect())
+    }
+    fn dec(v: &Value) -> Result<Self, DecodeError> {
+        let slots = Vec::<u64>::dec(v)?;
+        if slots.len() != EnergyComponent::ALL.len() {
+            return Err(DecodeError("EnergyBreakdown"));
+        }
+        let mut out = EnergyBreakdown::default();
+        for (component, uj) in EnergyComponent::ALL.into_iter().zip(slots) {
+            out.add_uj(component, uj);
+        }
+        Ok(out)
+    }
 }
 
 // ---------------------------------------------------------------------
 // The checkpoint file
 // ---------------------------------------------------------------------
+
+/// A `header` line's payload.
+struct Header {
+    version: u64,
+}
+
+/// A `cell` line's payload: one completed, trace-free cell.
+struct CellLine {
+    key: u64,
+    result: RunResult,
+}
+
+codec_struct!(Header { version });
+codec_struct!(CellLine { key, result });
+
+enum Line {
+    Header(Header),
+    Cell(Box<CellLine>),
+    Quarantine(QuarantineRecord),
+}
 
 /// An append-only sweep checkpoint.
 ///
@@ -683,14 +420,16 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Opens (or creates) the checkpoint at `path`, loading every
-    /// decodable line already present. Corrupt or torn lines are
-    /// skipped and counted in [`skipped_lines`](Self::skipped_lines).
+    /// decodable line that follows a current-version header. Corrupt,
+    /// torn or stale lines are skipped and counted in
+    /// [`skipped_lines`](Self::skipped_lines).
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Checkpoint> {
         let path = path.as_ref().to_path_buf();
         let mut cells = HashMap::new();
         let mut quarantined = HashMap::new();
         let mut skipped = 0usize;
-        let mut has_header = false;
+        // Whether the lines read so far follow a header in this format.
+        let mut current = false;
         if let Ok(existing) = File::open(&path) {
             for line in BufReader::new(existing).lines() {
                 let line = line?;
@@ -698,14 +437,19 @@ impl Checkpoint {
                     continue;
                 }
                 match Self::load_line(&line) {
-                    Ok(Line::Header) => has_header = true,
-                    Ok(Line::Cell(key, result)) => {
-                        cells.insert(key, *result);
+                    Ok(Line::Header(header)) => {
+                        current = header.version == CHECKPOINT_VERSION;
+                        if !current {
+                            skipped += 1;
+                        }
                     }
-                    Ok(Line::Quarantine(record)) => {
+                    Ok(Line::Cell(cell)) if current => {
+                        cells.insert(cell.key, cell.result);
+                    }
+                    Ok(Line::Quarantine(record)) if current => {
                         quarantined.insert(record.key, record);
                     }
-                    Err(_) => skipped += 1,
+                    _ => skipped += 1,
                 }
             }
         }
@@ -717,47 +461,40 @@ impl Checkpoint {
         if !ends_with_newline(&path)? {
             writeln!(file)?;
         }
-        if !has_header {
-            let header = Value::obj(vec![
-                ("kind", Value::Str("header".into())),
-                ("version", Value::UInt(CHECKPOINT_VERSION)),
-            ]);
-            writeln!(file, "{}", header.to_json())?;
-            file.flush()?;
-        }
-        Ok(Checkpoint {
+        let mut checkpoint = Checkpoint {
             path,
             file,
             cells,
             quarantined,
             skipped_lines: skipped,
-        })
+        };
+        if !current {
+            let header = Header {
+                version: CHECKPOINT_VERSION,
+            };
+            checkpoint.append("header", &header)?;
+        }
+        Ok(checkpoint)
     }
 
     fn load_line(line: &str) -> Result<Line, DecodeError> {
         let v = json::parse(line).map_err(|_| DecodeError("parse"))?;
-        match need_str(&v, "kind")?.as_str() {
-            "header" => {
-                if need_u64(&v, "version")? == CHECKPOINT_VERSION {
-                    Ok(Line::Header)
-                } else {
-                    Err(DecodeError("version"))
-                }
-            }
-            "cell" => {
-                let key = parse_key(&need_str(&v, "key")?)?;
-                let result = decode_result(need(&v, "result")?)?;
-                Ok(Line::Cell(key, Box::new(result)))
-            }
-            "quarantine" => Ok(Line::Quarantine(QuarantineRecord {
-                key: parse_key(&need_str(&v, "key")?)?,
-                governor: need_str(&v, "governor")?,
-                error: need_str(&v, "error")?,
-                attempts: u32::try_from(need_u64(&v, "attempts")?)
-                    .map_err(|_| DecodeError("attempts"))?,
-            })),
+        match v.get("kind").and_then(Value::as_str) {
+            Some("header") => Ok(Line::Header(Header::dec(&v)?)),
+            Some("cell") => Ok(Line::Cell(Box::new(CellLine::dec(&v)?))),
+            Some("quarantine") => Ok(Line::Quarantine(QuarantineRecord::dec(&v)?)),
             _ => Err(DecodeError("kind")),
         }
+    }
+
+    /// Appends `record` as one line tagged with `kind`, and flushes.
+    fn append(&mut self, kind: &str, record: &impl Codec) -> std::io::Result<()> {
+        let mut fields = vec![("kind".to_string(), Value::Str(kind.to_string()))];
+        if let Value::Obj(rest) = record.enc() {
+            fields.extend(rest);
+        }
+        writeln!(self.file, "{}", Value::Obj(fields).to_json())?;
+        self.file.flush()
     }
 
     /// The checkpoint's path.
@@ -765,7 +502,8 @@ impl Checkpoint {
         &self.path
     }
 
-    /// Lines skipped while loading (torn tail, corruption).
+    /// Lines skipped while loading (torn tail, corruption, stale
+    /// format).
     pub fn skipped_lines(&self) -> usize {
         self.skipped_lines
     }
@@ -807,15 +545,12 @@ impl Checkpoint {
         if cfg.collect_traces {
             return Ok(());
         }
-        let key = cell_key(cfg);
-        let line = Value::obj(vec![
-            ("kind", Value::Str("cell".into())),
-            ("key", Value::Str(format!("{key:016x}"))),
-            ("result", encode_result(result)),
-        ]);
-        writeln!(self.file, "{}", line.to_json())?;
-        self.file.flush()?;
-        self.cells.insert(key, result.clone());
+        let cell = CellLine {
+            key: cell_key(cfg),
+            result: result.clone(),
+        };
+        self.append("cell", &cell)?;
+        self.cells.insert(cell.key, cell.result);
         Ok(())
     }
 
@@ -832,35 +567,17 @@ impl Checkpoint {
             error: error.to_string(),
             attempts,
         };
-        let line = Value::obj(vec![
-            ("kind", Value::Str("quarantine".into())),
-            ("key", Value::Str(format!("{:016x}", record.key))),
-            ("governor", Value::Str(record.governor.clone())),
-            ("error", Value::Str(record.error.clone())),
-            ("attempts", Value::UInt(u64::from(record.attempts))),
-        ]);
-        writeln!(self.file, "{}", line.to_json())?;
-        self.file.flush()?;
+        self.append("quarantine", &record)?;
         self.quarantined.insert(record.key, record);
         Ok(())
     }
 }
 
-enum Line {
-    Header,
-    Cell(u64, Box<RunResult>),
-    Quarantine(QuarantineRecord),
-}
-
-fn parse_key(hex: &str) -> Result<u64, DecodeError> {
-    u64::from_str_radix(hex, 16).map_err(|_| DecodeError("key"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::chaos;
     use crate::runner::{self, GovernorKind, RunConfig, Scale};
-    use simcore::SimDuration;
     use workload::{AppKind, LoadSpec};
 
     fn tiny(seed: u64) -> RunConfig {
@@ -885,9 +602,73 @@ mod tests {
 
     #[test]
     fn run_result_round_trips_exactly() {
-        let result = runner::run(tiny(7));
-        let decoded = decode_result(&encode_result(&result)).expect("decodes");
-        assert_eq!(decoded, result, "codec must be lossless");
+        // NMAP under the chaos soak's kernel plan fills every summary
+        // a fault-free tiny cell leaves at zero.
+        let (_, nmap) = chaos::all_governors(AppKind::Memcached)
+            .into_iter()
+            .find(|(label, _)| *label == "nmap")
+            .expect("chaos sweeps nmap");
+        let (_, kernel) = chaos::plans()
+            .into_iter()
+            .find(|(label, _)| *label == "kernel")
+            .expect("chaos has a kernel plan");
+        let rich = runner::run(
+            RunConfig::new(
+                AppKind::Memcached,
+                LoadSpec::custom(30_000.0, SimDuration::from_millis(100), 0.4, 0.3),
+                nmap,
+                Scale::Quick,
+            )
+            .with_seed(7)
+            .with_fault_plan(kernel),
+        );
+        assert!(rich.faults.total() > 0, "faults injected");
+        assert!(!rich.timeline.times_ns.is_empty(), "timeline sampled");
+        // The recorders behind these three are compiled only with `obs`.
+        if cfg!(feature = "obs") {
+            assert!(!rich.gov_flight.decisions.is_empty(), "decisions recorded");
+            assert!(!rich.attrib.stages.is_empty(), "latency attributed");
+            assert!(!rich.energy.cores.is_empty(), "energy attributed");
+        }
+        for result in [runner::run(tiny(7)), rich] {
+            let decoded = RunResult::dec(&result.enc()).expect("decodes");
+            assert_eq!(decoded, result, "codec must be lossless");
+        }
+    }
+
+    #[test]
+    fn cells_after_a_stale_header_are_not_served() {
+        let path = tmp("stale");
+        let _ = std::fs::remove_file(&path);
+        let cfg = tiny(23);
+        {
+            let mut ck = Checkpoint::open(&path).expect("open");
+            ck.record(&cfg, &runner::run(cfg.clone())).expect("record");
+            ck.record_quarantine(&tiny(24), "wall-clock budget exceeded", 3)
+                .expect("record");
+        }
+        // The same lines behind a header from an older format.
+        let text = std::fs::read_to_string(&path).expect("read");
+        let (_, body) = text.split_once('\n').expect("header line");
+        std::fs::write(
+            &path,
+            format!("{{\"kind\":\"header\",\"version\":1}}\n{body}"),
+        )
+        .expect("write");
+        let ck = Checkpoint::open(&path).expect("reopen");
+        assert_eq!(ck.skipped_lines(), 3, "header, cell and quarantine skipped");
+        assert!(ck.lookup(&cfg).is_none(), "stale cell re-runs");
+        assert!(ck.lookup_quarantine(&tiny(24)).is_none());
+        // The reopen appended a current header, so cells recorded from
+        // now on are served again.
+        drop(ck);
+        {
+            let mut ck = Checkpoint::open(&path).expect("reopen");
+            ck.record(&cfg, &runner::run(cfg.clone())).expect("record");
+        }
+        let ck = Checkpoint::open(&path).expect("reopen again");
+        assert!(ck.lookup(&cfg).is_some(), "fresh cell served");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use crate::report::{self, FigureReport};
 use crate::runner::{run_with_testbed, GovernorKind, RunConfig, RunResult, Scale};
 use crate::thresholds;
-use simcore::{RngStream, SimDuration};
+use simcore::{RngStream, SimDuration, SimTime};
 use workload::{AppKind, LoadLevel, LoadSpec};
 
 fn varying_run(governor: GovernorKind, scale: Scale, seed: u64) -> RunResult {
@@ -48,6 +48,37 @@ fn varying_run(governor: GovernorKind, scale: Scale, seed: u64) -> RunResult {
     result
 }
 
+/// Time-weighted average of a P-state trace over `[start, end)`:
+/// each point holds until the next one, and `initial` holds before
+/// the first.
+///
+/// # Panics
+///
+/// Panics if `end <= start`.
+fn step_time_average(points: &[(SimTime, u8)], start: SimTime, end: SimTime, initial: f64) -> f64 {
+    assert!(end > start, "window must be positive");
+    let mut acc = 0.0;
+    let mut cur_t = start;
+    let mut cur_v = points
+        .iter()
+        .take_while(|&&(t, _)| t <= start)
+        .last()
+        .map_or(initial, |&(_, v)| f64::from(v));
+    for &(t, v) in points {
+        if t <= start {
+            continue;
+        }
+        if t >= end {
+            break;
+        }
+        acc += cur_v * (t - cur_t).as_secs_f64();
+        cur_t = t;
+        cur_v = f64::from(v);
+    }
+    acc += cur_v * (end - cur_t).as_secs_f64();
+    acc / (end - start).as_secs_f64()
+}
+
 /// Fig 16: per-request latency and P-state behaviour under the
 /// varying load, NMAP vs Parties.
 pub fn fig16(scale: Scale) -> FigureReport {
@@ -66,12 +97,7 @@ pub fn fig16(scale: Scale) -> FigureReport {
             .as_ref()
             .expect("trace-collecting runs always carry traces");
         // P-state residency summary for core 0 (time-weighted).
-        let series: simcore::TimeSeries = t
-            .pstates_core0
-            .iter()
-            .map(|&(tt, p)| (tt, p as f64))
-            .collect();
-        let avg_p = series.step_time_average(t.measure_start, t.measure_end, 15.0);
+        let avg_p = step_time_average(&t.pstates_core0, t.measure_start, t.measure_end, 15.0);
         rows.push(vec![
             r.governor.clone(),
             report::fmt_dur(r.p99),
@@ -124,6 +150,22 @@ pub fn fig16(scale: Scale) -> FigureReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ms(v: u64) -> SimTime {
+        SimTime::from_millis(v)
+    }
+
+    #[test]
+    fn step_time_average_weights_by_time() {
+        // 0 on [0,2), 10 on [2,4), 20 on [4,6) → avg over [0,6) = (0*2+10*2+20*2)/6 = 10
+        let avg = step_time_average(&[(ms(2), 10), (ms(4), 20)], ms(0), ms(6), 0.0);
+        assert!((avg - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn step_average_with_no_points_is_initial() {
+        assert!((step_time_average(&[], ms(0), ms(5), 7.0) - 7.0).abs() < 1e-12);
+    }
 
     #[test]
     fn nmap_beats_parties_under_varying_load() {

@@ -11,15 +11,7 @@ use simcore::{
     FlightSummary, MetricsSnapshot, RecoverySummary, SimDuration, SimError, SimTime, Simulator,
     StepBudget, Timeline, TimelineConfig, WatchdogReport,
 };
-use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use workload::{AppKind, LoadSpec};
-
-/// Locks a mutex, shrugging off poisoning: a panicking worker must
-/// not cascade into every other thread that shares the sweep state.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Which processor model a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -553,33 +545,7 @@ fn log_map<T, U>(log: &EventLog<T>, f: impl Fn(&T) -> U) -> Vec<(SimTime, U)> {
 /// Runs many configs across worker threads (one testbed per thread),
 /// preserving input order in the output.
 pub fn run_many(configs: Vec<RunConfig>) -> Vec<RunResult> {
-    if configs.len() <= 1 {
-        return configs.into_iter().map(run).collect();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(4)
-        .min(configs.len());
-    let jobs: Mutex<VecDeque<(usize, RunConfig)>> =
-        Mutex::new(configs.into_iter().enumerate().collect());
-    let n = lock(&jobs).len();
-    let results: Mutex<Vec<Option<RunResult>>> = Mutex::new(vec![None; n]);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let job = lock(&jobs).pop_front();
-                let Some((idx, cfg)) = job else { break };
-                let result = run(cfg);
-                lock(&results)[idx] = Some(result);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .map(|r| r.expect("worker skipped a job"))
-        .collect()
+    simcore::par_map(configs, run)
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! The foundation for the NMAP reproduction: a deterministic
 //! discrete-event simulator with integer-nanosecond virtual time,
 //! cancellable events, seeded random-number streams, and the
-//! statistics toolkit (histograms, CDFs, time series) used by every
-//! experiment in the paper.
+//! statistics toolkit (histograms, CDFs, streaming quantiles) used by
+//! every experiment in the paper.
 //!
 //! # Examples
 //!
@@ -34,6 +34,7 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod obs;
+pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -64,11 +65,11 @@ pub use obs::{
     HistogramSnapshot, MetricsRegistry, MetricsSnapshot, TraceBuffer, TraceCategory, TraceEvent,
     TraceKind,
 };
+pub use pool::par_map;
 pub use rng::RngStream;
 pub use stats::cdf::Cdf;
 pub use stats::histogram::Histogram;
 pub use stats::running::RunningStats;
 pub use stats::streaming::{SloWatchdog, StreamingQuantiles, WatchdogEvent, WatchdogReport};
-pub use stats::timeseries::TimeSeries;
 pub use time::{SimDuration, SimTime};
 pub use trace::EventLog;
