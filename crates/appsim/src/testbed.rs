@@ -901,9 +901,10 @@ impl Testbed {
         self.wire_responses_in_flight -= 1;
         let core = self.nic.rss_queue(pkt.flow).0;
         if self.faults.wire_drop(now, core).is_some() {
-            // The response dies on the wire. Its attribution entry
-            // stays pending (neither measured nor attributed time is
+            // The response dies on the wire. Its attribution is
+            // abandoned (neither measured nor attributed time is
             // credited), so the latency identities keep balancing.
+            self.attrib.abandon(pkt.id.0);
             self.faults.note_wire_response_dropped();
             self.ledger.credit(Account::PacketsFaultDropped, 1);
             self.ledger.credit(Account::ResponsesFaultDropped, 1);
@@ -915,14 +916,10 @@ impl Testbed {
         self.ledger
             .credit(Account::LatencyNanosMeasured, latency.as_nanos());
         // Close the request's attribution: the stage sums must equal
-        // the measured latency exactly (audited), and each stage feeds
-        // its metrics histogram.
+        // the measured latency exactly (audited).
         if let Some(done) = self.attrib.completed(pkt.id.0, now) {
             self.ledger
                 .credit(Account::LatencyNanosAttributed, done.breakdown.total_ns());
-            for (stage, ns) in done.breakdown.iter() {
-                self.metrics.observe(stage.metric_key(), ns);
-            }
         }
         // The watchdog sees every sample, keyed to the serving core
         // (RSS pins a flow to one queue = one core).
@@ -1239,10 +1236,10 @@ impl Testbed {
         // Deliver request packets to the socket backlog (ACK-class
         // packets end at the transport layer); the app thread wakes.
         // The admission policy gates delivery: a shed request never
-        // reaches the backlog, its attribution entry stays pending
-        // (neither measured nor attributed time is credited), and the
-        // ledger closes it under `PacketsShed` so the request identity
-        // stays integer-exact.
+        // reaches the backlog, its attribution is abandoned (neither
+        // measured nor attributed time is credited), and the ledger
+        // closes it under `PacketsShed` so the request identity stays
+        // integer-exact.
         let mut delivered = false;
         for pkt in batch.rx {
             if pkt.kind == netsim::PacketKind::Request {
@@ -1253,6 +1250,7 @@ impl Testbed {
                 {
                     self.shed[core.0] += 1;
                     self.ledger.credit(Account::PacketsShed, 1);
+                    self.attrib.abandon(pkt.id.0);
                     continue;
                 }
                 self.attrib.delivered(pkt.id.0, now);
@@ -2387,18 +2385,17 @@ impl Testbed {
     }
 
     /// Gathers every component's totals into the testbed's metrics
-    /// registry (NIC, NAPI, processor, governor, client, per-kind
-    /// event counts). Call once, at run end. No-op without the `obs`
-    /// feature.
+    /// registry (NIC, NAPI, processor, governor, client, attribution,
+    /// per-kind event counts). Every entry is set, not added, so a
+    /// second call at the same `now` changes nothing. No-op without
+    /// the `obs` feature.
     pub fn collect_metrics(&mut self, now: SimTime) {
         if !simcore::MetricsRegistry::ENABLED {
             return;
         }
         let mut m = std::mem::take(&mut self.metrics);
         self.nic.record_metrics(&mut m);
-        for napi in &self.napi {
-            napi.record_metrics(&mut m);
-        }
+        NapiContext::record_metrics(&self.napi, &mut m);
         self.processor.record_metrics(now, &mut m);
         self.governor.record_metrics(&mut m);
         m.set_counter("client.sent", self.client.sent());
@@ -2436,9 +2433,7 @@ impl Testbed {
         m.set_counter("fault.flow_churns", f.flow_churns);
         m.set_counter("fault.admission_bypasses", f.admission_bypasses);
         m.set_counter("admission.shed", self.total_shed());
-        m.set_counter("attrib.requests", self.attrib.requests());
-        m.set_counter("attrib.mismatches", self.attrib.mismatches());
-        m.set_counter("attrib.pending", self.attrib.pending());
+        self.attrib.record_metrics(&mut m);
         if CoreEnergyMeter::ENABLED {
             let mut package = simcore::EnergyBreakdown::default();
             let mut measured = 0u64;
@@ -2642,6 +2637,23 @@ mod tests {
         tb.audit_report(sim.now())
             .expect("audit enabled")
             .assert_balanced();
+    }
+
+    #[test]
+    fn collect_metrics_twice_at_the_same_time_changes_nothing() {
+        let (mut sim, mut tb) = build(50_000.0, Box::new(Performance::new()));
+        sim.run_until(&mut tb, SimTime::from_millis(100));
+        let now = sim.now();
+        tb.collect_metrics(now);
+        let first = tb.metrics.snapshot();
+        tb.collect_metrics(now);
+        assert_eq!(first, tb.metrics.snapshot());
+        if simcore::MetricsRegistry::ENABLED {
+            let napi = first.counter("napi.intr_packets").unwrap_or(0)
+                + first.counter("napi.poll_packets").unwrap_or(0);
+            assert!(napi > 0, "NAPI totals must be recorded");
+            assert!(first.histogram("attrib.service").is_some());
+        }
     }
 
     #[cfg(feature = "obs")]

@@ -12,18 +12,21 @@
 //! cargo bench -p nmap-bench --bench energy --features obs  # obs on
 //! ```
 //!
-//! The microbenches isolate the two hot paths the feature adds — the
-//! meter's `advance` (every power-integral segment) and the flight
-//! recorder's `record` (every governor decision) — so a regression in
-//! either is visible without re-deriving it from the cell delta.
+//! The microbenches isolate three hot paths the feature adds — the
+//! meter's `advance` (every power-integral segment), the flight
+//! recorder's `record` (every governor decision) and the latency
+//! attribution's per-request pipeline (`attrib/per_request_100k`) — so
+//! a regression in any is visible without re-deriving it from the cell
+//! delta. With `obs` off the attribution tracker is a no-op and its
+//! microbench times an empty loop.
 
 use experiments::GovernorKind;
 use nmap_bench::criterion::{black_box, Criterion};
 use nmap_bench::{bench_cell, nmap_cfg};
 use nmap_bench::{criterion_group, criterion_main};
 use simcore::{
-    BusyRole, CoreEnergyMeter, DecisionTrigger, FlightRecorder, GovDecision, MeterClass,
-    SimDuration, SimTime,
+    AttribTracker, BusyRole, ChainMarks, CoreEnergyMeter, DecisionTrigger, FlightRecorder,
+    GovDecision, MeterClass, SimDuration, SimTime,
 };
 use workload::{AppKind, LoadLevel};
 
@@ -114,9 +117,51 @@ fn recorder_record(c: &mut Criterion) {
     });
 }
 
+/// The attribution tracker's per-request cost in isolation: 100 k
+/// sequential request ids through claim → deliver → app start → app
+/// finish → complete, each step a quarter of the window behind the
+/// last, so 512 requests are in flight at steady state.
+fn attrib_per_request(c: &mut Criterion) {
+    const REQUESTS: u64 = 100_000;
+    const IN_FLIGHT: u64 = 512;
+    c.bench_function("attrib/per_request_100k", |b| {
+        b.iter(|| {
+            let mut tr = AttribTracker::new();
+            for step in 0..REQUESTS + IN_FLIGHT {
+                let now = SimTime::from_micros(step);
+                let id = |lag: u64| {
+                    step.checked_sub(lag * IN_FLIGHT / 4)
+                        .filter(|&id| id < REQUESTS)
+                };
+                if let Some(id) = id(0) {
+                    let marks = ChainMarks {
+                        irq_at: Some(now),
+                        ..ChainMarks::default()
+                    };
+                    tr.claimed(id, SimTime::ZERO, now, now, &marks);
+                }
+                if let Some(id) = id(1) {
+                    tr.delivered(id, now);
+                }
+                if let Some(id) = id(2) {
+                    let ideal = SimDuration::from_micros(40 + id % 64);
+                    tr.app_start(id, (id % 8) as u32, now, SimDuration::ZERO, ideal);
+                }
+                if let Some(id) = id(3) {
+                    tr.app_finish(id, now);
+                }
+                if let Some(id) = id(4) {
+                    black_box(tr.completed(id, now));
+                }
+            }
+            black_box(tr.requests())
+        })
+    });
+}
+
 criterion_group!(
     name = energy;
     config = Criterion::default().sample_size(10);
-    targets = attribution_cell, meter_advance, recorder_record
+    targets = attribution_cell, meter_advance, recorder_record, attrib_per_request
 );
 criterion_main!(energy);

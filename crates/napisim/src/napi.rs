@@ -345,15 +345,16 @@ impl NapiContext {
         }
     }
 
-    /// Accumulates this context's packet totals into the metrics
-    /// registry (bumped, so per-core contexts sum naturally).
-    pub fn record_metrics(&self, m: &mut simcore::MetricsRegistry) {
+    /// Sets the packet and mode-transition totals, summed over the
+    /// per-core `contexts`, in the metrics registry.
+    pub fn record_metrics(contexts: &[NapiContext], m: &mut simcore::MetricsRegistry) {
         if !simcore::MetricsRegistry::ENABLED {
             return;
         }
-        m.bump("napi.intr_packets", self.total_intr_pkts);
-        m.bump("napi.poll_packets", self.total_poll_pkts);
-        m.bump("napi.mode_transitions", self.mode_log.len() as u64);
+        let sum = |f: fn(&NapiContext) -> u64| contexts.iter().map(f).sum();
+        m.set_counter("napi.intr_packets", sum(|c| c.total_intr_pkts));
+        m.set_counter("napi.poll_packets", sum(|c| c.total_poll_pkts));
+        m.set_counter("napi.mode_transitions", sum(|c| c.mode_log.len() as u64));
     }
 }
 

@@ -36,11 +36,16 @@
 //! data types ([`Stage`], [`Breakdown`], [`ChainMarks`]) are always
 //! available.
 
+use super::MetricsRegistry;
+#[cfg(feature = "obs")]
+use super::ObsHistogram;
 #[cfg(feature = "obs")]
 use crate::stats::histogram::Histogram;
 use crate::time::{SimDuration, SimTime};
 #[cfg(feature = "obs")]
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+#[cfg(feature = "obs")]
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One stage of a request's end-to-end latency.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -269,12 +274,47 @@ struct Pending {
     ideal: SimDuration,
 }
 
+/// Hashes a request id with one multiply by the 64-bit golden ratio.
+/// Request ids are sequential, so the product spreads them over both
+/// the table index (low bits) and the control tag (high bits).
+#[cfg(feature = "obs")]
+#[derive(Default)]
+struct IdHasher(u64);
+
+#[cfg(feature = "obs")]
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// In-flight requests by id. Keys are simulator-generated, not outside
+/// input, so a fixed hasher is safe; no `RandomState`, and the map is
+/// only ever probed by key, never iterated, so its order can reach no
+/// result.
+#[cfg(feature = "obs")]
+type PendingMap = HashMap<u64, Pending, BuildHasherDefault<IdHasher>>;
+
 /// Per-stage aggregation over completed requests.
 #[cfg(feature = "obs")]
 #[derive(Debug, Clone)]
 struct Agg {
     sums_ns: [u64; STAGES],
+    /// Fine-grained histograms behind the summary's percentiles.
     hists: Vec<Histogram>,
+    /// The log₂ histograms [`AttribTracker::record_metrics`] copies
+    /// into the metrics registry.
+    log2: [ObsHistogram; STAGES],
     requests: u64,
     mismatches: u64,
     attributed_total_ns: u64,
@@ -287,6 +327,7 @@ impl Default for Agg {
         Agg {
             sums_ns: [0; STAGES],
             hists: (0..STAGES).map(|_| Histogram::new()).collect(),
+            log2: Default::default(),
             requests: 0,
             mismatches: 0,
             attributed_total_ns: 0,
@@ -356,15 +397,31 @@ impl AttribSummary {
 /// [`app_pause`](Self::app_pause)/[`app_resume`](Self::app_resume)
 /// (preemption) → [`app_finish`](Self::app_finish) →
 /// [`completed`](Self::completed) (response back at the client).
-/// Requests dropped at the NIC are never claimed and never tracked.
+/// Requests dropped at the NIC are never claimed and never tracked; a
+/// claimed request that will never complete (shed, or its response
+/// lost) is [`abandon`](Self::abandon)ed.
 ///
 /// Zero-sized no-op without the `obs` feature.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct AttribTracker {
     #[cfg(feature = "obs")]
-    pending: BTreeMap<u64, Pending>,
+    pending: PendingMap,
+    /// Requests dropped from `pending` by [`abandon`](Self::abandon);
+    /// still reported as pending.
+    #[cfg(feature = "obs")]
+    abandoned: u64,
     #[cfg(feature = "obs")]
     agg: Agg,
+}
+
+impl std::fmt::Debug for AttribTracker {
+    // Counts only: printing the pending map would iterate it.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AttribTracker")
+            .field("requests", &self.requests())
+            .field("pending", &self.pending())
+            .finish_non_exhaustive()
+    }
 }
 
 impl AttribTracker {
@@ -541,9 +598,10 @@ impl AttribTracker {
             self.agg.attributed_total_ns = self.agg.attributed_total_ns.saturating_add(total);
             self.agg.e2e_total_ns = self.agg.e2e_total_ns.saturating_add(e2e_ns);
             for (stage, ns) in p.breakdown.iter() {
-                let slot = &mut self.agg.sums_ns[stage as usize];
-                *slot = slot.saturating_add(ns);
-                self.agg.hists[stage as usize].record(ns);
+                let i = stage as usize;
+                self.agg.sums_ns[i] = self.agg.sums_ns[i].saturating_add(ns);
+                self.agg.hists[i].record(ns);
+                self.agg.log2[i].observe(ns);
             }
             Some(CompletedAttrib {
                 breakdown: p.breakdown,
@@ -556,6 +614,22 @@ impl AttribTracker {
         {
             let _ = (id, now);
             None
+        }
+    }
+
+    /// Request `id` will never complete (shed at admission, or its
+    /// response lost on the wire): frees its in-flight state. It keeps
+    /// counting in [`pending`](Self::pending), and none of its time is
+    /// attributed, so the latency identities still balance.
+    #[inline]
+    pub fn abandon(&mut self, id: u64) {
+        #[cfg(feature = "obs")]
+        if self.pending.remove(&id).is_some() {
+            self.abandoned += 1;
+        }
+        #[cfg(not(feature = "obs"))]
+        {
+            let _ = id;
         }
     }
 
@@ -597,11 +671,12 @@ impl AttribTracker {
         }
     }
 
-    /// Requests currently tracked but not yet completed.
+    /// Requests claimed but never completed: those still in flight
+    /// plus those [`abandon`](Self::abandon)ed.
     pub fn pending(&self) -> u64 {
         #[cfg(feature = "obs")]
         {
-            self.pending.len() as u64
+            self.pending.len() as u64 + self.abandoned
         }
         #[cfg(not(feature = "obs"))]
         {
@@ -633,7 +708,7 @@ impl AttribTracker {
         {
             AttribSummary {
                 requests: self.agg.requests,
-                pending: self.pending.len() as u64,
+                pending: self.pending(),
                 mismatches: self.agg.mismatches,
                 attributed_total_ns: self.agg.attributed_total_ns,
                 e2e_total_ns: self.agg.e2e_total_ns,
@@ -655,6 +730,22 @@ impl AttribTracker {
         #[cfg(not(feature = "obs"))]
         {
             AttribSummary::default()
+        }
+    }
+
+    /// Writes the `attrib.*` counters and, once any request completed,
+    /// one log₂ histogram per stage (keyed by [`Stage::metric_key`])
+    /// into `m`. Sets rather than adds, so calling it again at the same
+    /// point changes nothing.
+    pub fn record_metrics(&self, m: &mut MetricsRegistry) {
+        m.set_counter("attrib.requests", self.requests());
+        m.set_counter("attrib.mismatches", self.mismatches());
+        m.set_counter("attrib.pending", self.pending());
+        #[cfg(feature = "obs")]
+        if self.agg.requests > 0 {
+            for stage in Stage::ALL {
+                m.set_histogram(stage.metric_key(), &self.agg.log2[stage as usize]);
+            }
         }
     }
 }
@@ -805,6 +896,68 @@ mod tests {
             assert_eq!(done.breakdown.get_ns(Stage::AppService), d(8).as_nanos());
             assert_eq!(done.breakdown.get_ns(Stage::PstateStall), 0);
         }
+    }
+
+    #[test]
+    fn abandoned_requests_stay_pending_and_free_their_state() {
+        let mut tr = AttribTracker::new();
+        for id in 0..10_000 {
+            tr.claimed(id, t(0), t(1), t(2), &ChainMarks::default());
+        }
+        for id in 0..10_000 {
+            tr.abandon(id);
+        }
+        // Unknown and already-abandoned ids change nothing.
+        tr.abandon(0);
+        tr.abandon(10_000);
+        if AttribTracker::ENABLED {
+            assert_eq!(tr.pending(), 10_000);
+            assert_eq!(tr.summary().pending, 10_000);
+        } else {
+            assert_eq!(tr.pending(), 0);
+        }
+        #[cfg(feature = "obs")]
+        assert!(tr.pending.is_empty(), "abandoned state must be freed");
+    }
+
+    #[test]
+    fn record_metrics_sets_one_log2_histogram_per_stage() {
+        let mut tr = AttribTracker::new();
+        let mut m = MetricsRegistry::new();
+        tr.record_metrics(&mut m);
+        assert!(
+            m.snapshot().histograms.is_empty(),
+            "no histograms before a request completes"
+        );
+        for id in 0..2 {
+            tr.claimed(id, t(0), t(10), t(10), &ChainMarks::default());
+            tr.delivered(id, t(10));
+            tr.app_start(id, 0, t(10), SimDuration::ZERO, d(10));
+            tr.app_finish(id, t(20));
+            tr.completed(id, t(30));
+        }
+        tr.record_metrics(&mut m);
+        let snap = m.snapshot();
+        tr.record_metrics(&mut m);
+        assert_eq!(snap, m.snapshot(), "a second copy changes nothing");
+        if !AttribTracker::ENABLED {
+            assert!(snap.is_empty());
+            return;
+        }
+        assert_eq!(snap.counter("attrib.requests"), Some(2));
+        assert_eq!(snap.counter("attrib.pending"), Some(0));
+        assert_eq!(snap.histograms.len(), STAGES);
+        // 10 µs = 10 000 ns has bit width 14.
+        let service = snap.histogram("attrib.service").expect("service");
+        assert_eq!(
+            (service.count, service.sum, service.max),
+            (2, 20_000, 10_000)
+        );
+        assert_eq!(service.buckets, vec![(14, 2)]);
+        // Zero-length stages land in bucket 0.
+        let preempt = snap.histogram("attrib.preempt").expect("preempt");
+        assert_eq!((preempt.count, preempt.sum), (2, 0));
+        assert_eq!(preempt.buckets, vec![(0, 2)]);
     }
 
     #[test]

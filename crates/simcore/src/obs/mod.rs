@@ -16,7 +16,9 @@
 //! * [`MetricsRegistry`] — deterministically ordered counters, gauges
 //!   and log₂-bucketed histograms, snapshotted into a
 //!   [`MetricsSnapshot`] that two same-seed runs must reproduce
-//!   bit-identically.
+//!   bit-identically. It is an end-of-run sink: components keep their
+//!   own totals on the hot path and copy them in once, with set
+//!   semantics, through their `record_metrics` methods.
 //!
 //! # Zero cost when disabled
 //!
@@ -43,8 +45,8 @@
 //! }
 //!
 //! let mut metrics = MetricsRegistry::new();
-//! metrics.bump("nic.rx_enqueued", 3);
-//! metrics.observe("napi.poll_batch_rx", 64);
+//! metrics.set_counter("nic.rx_enqueued", 3);
+//! metrics.set_gauge("cpu.package_energy_j", 1.5);
 //! let snap = metrics.snapshot();
 //! assert_eq!(snap, metrics.snapshot()); // snapshots are deterministic
 //! ```
@@ -389,7 +391,8 @@ impl TraceBuffer {
     }
 }
 
-/// A log₂-bucketed histogram of `u64` samples.
+/// A log₂-bucketed histogram of `u64` samples, filled by its owner
+/// and copied into a [`MetricsRegistry`] at run end.
 #[cfg(feature = "obs")]
 #[derive(Debug, Clone, PartialEq)]
 struct ObsHistogram {
@@ -461,23 +464,6 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Adds `n` to the counter `key`.
-    #[inline]
-    pub fn bump(&mut self, key: &str, n: u64) {
-        #[cfg(feature = "obs")]
-        {
-            if let Some(v) = self.counters.get_mut(key) {
-                *v += n;
-            } else {
-                self.counters.insert(key.to_string(), n);
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (key, n);
-        }
-    }
-
     /// Sets the counter `key` to an absolute value (end-of-run totals
     /// copied from component bookkeeping).
     #[inline]
@@ -505,23 +491,10 @@ impl MetricsRegistry {
         }
     }
 
-    /// Adds one sample to the histogram `key`.
-    #[inline]
-    pub fn observe(&mut self, key: &str, value: u64) {
-        #[cfg(feature = "obs")]
-        {
-            if let Some(h) = self.histograms.get_mut(key) {
-                h.observe(value);
-            } else {
-                let mut h = ObsHistogram::default();
-                h.observe(value);
-                self.histograms.insert(key.to_string(), h);
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (key, value);
-        }
+    /// Sets the histogram `key` to a copy of `h`.
+    #[cfg(feature = "obs")]
+    fn set_histogram(&mut self, key: &str, h: &ObsHistogram) {
+        self.histograms.insert(key.to_string(), h.clone());
     }
 
     /// The current value of a counter (0 if absent or feature off).
@@ -749,13 +722,10 @@ mod tests {
     #[test]
     fn metrics_snapshot_is_ordered_and_deterministic() {
         let mut m = MetricsRegistry::new();
-        m.bump("z.last", 1);
-        m.bump("a.first", 2);
-        m.bump("a.first", 3);
+        m.set_counter("z.last", 1);
+        m.set_counter("a.first", 2);
+        m.set_counter("a.first", 5);
         m.set_gauge("power_w", 17.25);
-        m.observe("batch", 0);
-        m.observe("batch", 64);
-        m.observe("batch", 64);
         let snap = m.snapshot();
         assert_eq!(snap, m.snapshot());
         if MetricsRegistry::ENABLED {
@@ -764,11 +734,7 @@ mod tests {
                 vec![("a.first".to_string(), 5), ("z.last".to_string(), 1)]
             );
             assert_eq!(snap.counter("a.first"), Some(5));
-            let (_, h) = &snap.histograms[0];
-            assert_eq!(h.count, 3);
-            assert_eq!(h.sum, 128);
-            assert_eq!(h.max, 64);
-            assert_eq!(h.buckets, vec![(0, 1), (7, 2)]);
+            assert_eq!(snap.gauges, vec![("power_w".to_string(), 17.25)]);
             assert!(snap.render().contains("counter a.first=5"));
         } else {
             assert!(snap.is_empty());
