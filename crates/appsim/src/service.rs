@@ -60,9 +60,9 @@ impl AppModel {
     /// static pages of a few tens of KB — 24 MTU segments per response
     /// plus the client's ACK clock (~12 Rx packets per request). Most
     /// of an nginx request's CPU time is *kernel* time (TCP transmit,
-    /// segmentation, skb management — see
-    /// [`StackParams`](napisim::StackParams) via
-    /// [`stack_for`](crate::testbed::stack_for)), which is what makes
+    /// segmentation, skb management — the testbed charges nginx
+    /// traffic a costlier [`StackParams`](napisim::StackParams)
+    /// profile than memcached's), which is what makes
     /// nginx's NAPI load an order of magnitude above its request
     /// rate. SLO 10 ms.
     pub fn nginx() -> Self {

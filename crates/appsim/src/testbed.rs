@@ -20,7 +20,6 @@
 
 use crate::service::AppModel;
 use cpusim::dvfs::{CompletionResult, TransitionOutcome};
-use cpusim::power::CoreActivity;
 use cpusim::{CoreId, DvfsScope, PState, Processor, ProcessorProfile, RaplCounter};
 use governors::{Action, PStateGovernor, SleepPolicy};
 use napisim::{
@@ -140,12 +139,6 @@ pub struct TestbedConfig {
     pub app: AppModel,
     /// The offered load.
     pub load: LoadSpec,
-    /// Kernel network-stack parameters.
-    pub stack: StackParams,
-    /// Client-server link model.
-    pub link: LinkModel,
-    /// Number of client connections (flows) — RSS spreads these.
-    pub flows: u64,
     /// Number of NIC Rx/Tx queue pairs. `None` (the default) gives
     /// one queue per core, the paper's testbed layout. Fewer queues
     /// than cores leaves the surplus cores without network work;
@@ -172,13 +165,16 @@ pub struct TestbedConfig {
     pub admission: AdmissionPolicy,
 }
 
+/// Number of client connections (flows) — RSS spreads these.
+const FLOWS: u64 = 320;
+
 /// The kernel-stack cost profile for an application's traffic mix.
 ///
 /// memcached's small UDP/TCP datagrams cost the Linux defaults;
 /// nginx's mix (MTU-sized segments, TSO bookkeeping, 36 KB skb
 /// chains) costs markedly more per descriptor — in real nginx
 /// serving, kernel time rivals user time per request.
-pub fn stack_for(kind: workload::AppKind) -> StackParams {
+fn stack_for(kind: workload::AppKind) -> StackParams {
     match kind {
         workload::AppKind::Memcached => StackParams::linux_defaults(),
         workload::AppKind::Nginx => StackParams {
@@ -195,11 +191,8 @@ impl TestbedConfig {
         TestbedConfig {
             profile: ProcessorProfile::xeon_gold_6134(),
             scope: DvfsScope::PerCore,
-            stack: stack_for(app.kind),
             app,
             load,
-            link: LinkModel::ten_gbe(),
-            flows: 320,
             nic_queues: None,
             seed: 42,
             trace_capacity: 0,
@@ -224,12 +217,6 @@ impl TestbedConfig {
     /// Overrides the DVFS scope (chip-wide ablation).
     pub fn with_scope(mut self, scope: DvfsScope) -> Self {
         self.scope = scope;
-        self
-    }
-
-    /// Overrides the stack parameters.
-    pub fn with_stack(mut self, stack: StackParams) -> Self {
-        self.stack = stack;
         self
     }
 
@@ -282,12 +269,6 @@ impl TestbedConfig {
             return Err(SimError::invalid(
                 "profile.pstates",
                 "a processor needs at least one P-state".to_string(),
-            ));
-        }
-        if self.flows == 0 {
-            return Err(SimError::invalid(
-                "flows",
-                "at least one client flow is required to offer load".to_string(),
             ));
         }
         match self.nic_queues {
@@ -599,11 +580,12 @@ impl Testbed {
         let arrivals = config.load.arrivals();
         let seed = config.seed;
         let faults = FaultInjector::from_plan(&config.fault_plan, seed);
+        let stack = stack_for(config.app.kind);
         let mut tb = Testbed {
             processor,
             nic,
-            napi: (0..cores).map(|_| NapiContext::new(config.stack)).collect(),
-            client: Client::new(config.flows, config.app.request_size),
+            napi: (0..cores).map(|_| NapiContext::new(stack)).collect(),
+            client: Client::new(FLOWS, config.app.request_size),
             governor,
             sleep,
             ksoftirqd_log: (0..cores).map(|_| EventLog::new()).collect(),
@@ -618,8 +600,8 @@ impl Testbed {
             faults,
             profile: config.profile.clone(),
             app: config.app,
-            stack: config.stack,
-            link: config.link,
+            stack,
+            link: LinkModel::ten_gbe(),
             scope: config.scope,
             arrivals,
             runqueues: (0..cores).map(|_| RunQueue::new()).collect(),
@@ -1966,16 +1948,6 @@ impl Testbed {
     // Introspection for experiments
     // ------------------------------------------------------------------
 
-    /// Current CC0-activity snapshot of a core (test helper).
-    pub fn core_activity(&self, core: CoreId) -> CoreActivity {
-        let c = self.processor.core(core);
-        if c.is_busy() {
-            CoreActivity::Busy
-        } else {
-            CoreActivity::idle_in(c.cstate())
-        }
-    }
-
     /// Total packets delivered to application backlogs still waiting.
     pub fn total_backlog(&self) -> usize {
         self.backlog.iter().map(|b| b.len()).sum()
@@ -2135,9 +2107,9 @@ impl Testbed {
             l.balance(Account::ResponsesReceived),
         );
         report.check_exact(
-            "latency: measured samples == client histogram",
+            "latency: measured samples == client response log",
             l.balance(Account::LatencySamples) - self.measure_start_samples,
-            self.client.latencies().len() as u64,
+            self.client.response_log().len() as u64,
         );
 
         // Tx completion descriptors (overflowed descriptors lose only
@@ -2505,12 +2477,13 @@ mod tests {
         let (mut sim, mut tb) = build(20_000.0, Box::new(Performance::new()));
         sim.run_until(&mut tb, SimTime::from_millis(300));
         // Minimum possible: 2 link traversals (~40 µs) + processing.
-        let min = tb.client.latencies_mut().quantile(0.0);
+        let mut latencies = tb.client.latencies();
+        let min = latencies.quantile(0.0);
         assert!(
             min >= 40_000,
             "min latency {min} ns below the physical floor"
         );
-        let p50 = tb.client.latencies_mut().quantile(0.5);
+        let p50 = latencies.quantile(0.5);
         assert!(
             p50 < 1_000_000,
             "p50 {p50} ns should be well under 1 ms at this load"
@@ -2563,9 +2536,8 @@ mod tests {
         let (mut sim, mut tb) = build(20_000.0, Box::new(Performance::new()));
         sim.run_until(&mut tb, SimTime::from_millis(100));
         tb.begin_measurement(sim.now());
-        assert_eq!(
-            tb.client.latencies().len(),
-            0,
+        assert!(
+            tb.client.response_log().is_empty(),
             "stats reset at measurement start"
         );
         sim.run_until(&mut tb, SimTime::from_millis(400));
@@ -2601,7 +2573,7 @@ mod tests {
             (
                 tb.client.sent(),
                 tb.client.received(),
-                tb.client.latencies_mut().quantile(0.99),
+                tb.client.latencies().quantile(0.99),
             )
         };
         assert_eq!(run(), run());
@@ -2935,7 +2907,7 @@ mod tests {
                 tb.client.sent(),
                 tb.client.received(),
                 tb.faults.stats(),
-                tb.client.latencies_mut().quantile(0.99),
+                tb.client.latencies().quantile(0.99),
             )
         };
         assert_eq!(run(plan()), run(plan()));

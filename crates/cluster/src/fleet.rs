@@ -54,7 +54,7 @@ use simcore::{
     FaultStats, MetricsRegistry, MetricsSnapshot, RngStream, SimDuration, SimError, SimTime,
     Simulator, StepBudget, StreamingQuantiles, TimelineConfig,
 };
-use workload::{AppKind, ChurnSpec, DiurnalCurve, LoadSpec, Priority};
+use workload::{AppKind, LoadSpec, Priority};
 
 use crate::health::{HealthTracker, HealthTransition};
 use crate::kinds::{build_policies, GovernorKind, SleepKind};
@@ -62,6 +62,14 @@ use crate::overload::{
     BreakerPolicy, Brownout, BrownoutPolicy, CircuitBreaker, RetryBudget, RetryBudgetPolicy,
 };
 use crate::ring::{flow_key, HashRing};
+
+/// Inner/outer coupling interval: the load re-targeting and latency
+/// harvesting cadence.
+const EPOCH: SimDuration = SimDuration::from_millis(5);
+/// Client connection (flow) population steered by affinity.
+const FLOWS: usize = 512;
+/// One-way LB↔server network hop.
+const LB_HOP: SimDuration = SimDuration::from_micros(20);
 
 /// Client-side timeout and retry discipline for fleet requests.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -163,35 +171,22 @@ pub struct FleetConfig {
     pub hedge: Option<HedgePolicy>,
     /// Health-check probing.
     pub probe: ProbePolicy,
-    /// Diurnal modulation of the offered load; `None` = steady.
-    pub diurnal: Option<DiurnalCurve>,
-    /// Periodic connection churn; `None` = stable flows.
-    pub churn: Option<ChurnSpec>,
-    /// Inner/outer coupling interval (load re-targeting and latency
-    /// harvesting cadence).
-    pub epoch: SimDuration,
-    /// Client connection (flow) population steered by affinity.
-    pub flows: usize,
-    /// One-way LB↔server network hop.
-    pub lb_hop: SimDuration,
     /// Admission policy every server bounds its app queues with; the
     /// fleet also rejects attempts at servers whose harvested
     /// saturation hits 1000 ‰ (the server-side gate seen from the LB).
     pub admission: AdmissionPolicy,
-    /// Per-flow retry budgets; `None` = unconditional backoff-retry.
-    pub retry_budget: Option<RetryBudgetPolicy>,
-    /// Per-server circuit breakers composing with health ejection;
-    /// `None` disables them.
-    pub breaker: Option<BreakerPolicy>,
-    /// LB-side brownout over the up-coupled saturation signal;
-    /// `None` disables it.
-    pub brownout: Option<BrownoutPolicy>,
+    /// The fleet-side overload controls at their default policies:
+    /// per-flow retry budgets, per-server circuit breakers composing
+    /// with health ejection, and LB-side brownout over the up-coupled
+    /// saturation signal. Off = unconditional backoff-retry, no
+    /// breakers, no brownout.
+    pub overload_control: bool,
 }
 
 impl FleetConfig {
     /// A fleet with library defaults: menu sleep, Xeon Gold 6134
     /// servers, 200 ms warmup + 800 ms measured, default retry and
-    /// probe policies, hedging on, no faults, steady load.
+    /// probe policies, hedging on, no faults, overload control off.
     pub fn new(servers: usize, app: AppKind, total_rps: f64, governor: GovernorKind) -> Self {
         FleetConfig {
             servers,
@@ -207,15 +202,8 @@ impl FleetConfig {
             retry: RetryPolicy::default(),
             hedge: Some(HedgePolicy::default()),
             probe: ProbePolicy::default(),
-            diurnal: None,
-            churn: None,
-            epoch: SimDuration::from_millis(5),
-            flows: 512,
-            lb_hop: SimDuration::from_micros(20),
             admission: AdmissionPolicy::None,
-            retry_budget: None,
-            breaker: None,
-            brownout: None,
+            overload_control: false,
         }
     }
 
@@ -268,52 +256,10 @@ impl FleetConfig {
         self
     }
 
-    /// Modulates offered load with a diurnal curve.
-    pub fn with_diurnal(mut self, diurnal: DiurnalCurve) -> Self {
-        self.diurnal = Some(diurnal);
-        self
-    }
-
-    /// Enables periodic connection churn.
-    pub fn with_churn(mut self, churn: ChurnSpec) -> Self {
-        self.churn = Some(churn);
-        self
-    }
-
-    /// Sets the flow population.
-    pub fn with_flows(mut self, flows: usize) -> Self {
-        self.flows = flows;
-        self
-    }
-
-    /// Sets the inner/outer coupling epoch.
-    pub fn with_epoch(mut self, epoch: SimDuration) -> Self {
-        self.epoch = epoch;
-        self
-    }
-
     /// Sets the servers' admission policy (also arming the fleet-side
     /// saturation gate).
     pub fn with_admission(mut self, admission: AdmissionPolicy) -> Self {
         self.admission = admission;
-        self
-    }
-
-    /// Enables or disables per-flow retry budgets.
-    pub fn with_retry_budget(mut self, budget: Option<RetryBudgetPolicy>) -> Self {
-        self.retry_budget = budget;
-        self
-    }
-
-    /// Enables or disables per-server circuit breakers.
-    pub fn with_breaker(mut self, breaker: Option<BreakerPolicy>) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
-    /// Enables or disables LB-side brownout.
-    pub fn with_brownout(mut self, brownout: Option<BrownoutPolicy>) -> Self {
-        self.brownout = brownout;
         self
     }
 
@@ -326,9 +272,7 @@ impl FleetConfig {
             target: SimDuration::from_micros(200),
             limit: 64,
         };
-        self.retry_budget = Some(RetryBudgetPolicy::default());
-        self.breaker = Some(BreakerPolicy::default());
-        self.brownout = Some(BrownoutPolicy::default());
+        self.overload_control = true;
         self
     }
 
@@ -341,9 +285,6 @@ impl FleetConfig {
         if self.servers > 4096 {
             return Err(SimError::invalid("fleet.servers", "more than 4096 servers"));
         }
-        if self.flows == 0 {
-            return Err(SimError::invalid("fleet.flows", "need at least 1 flow"));
-        }
         if !self.total_rps.is_finite() || self.total_rps <= 0.0 || self.total_rps > 1e9 {
             return Err(SimError::invalid(
                 "fleet.total_rps",
@@ -353,22 +294,16 @@ impl FleetConfig {
                 ),
             ));
         }
-        if self.duration.is_zero() {
+        if self.duration < EPOCH {
             return Err(SimError::invalid(
                 "fleet.duration",
-                "measured window is empty",
+                "measured window is shorter than one coupling epoch",
             ));
         }
         if self.warmup.checked_add(self.duration).is_none() {
             return Err(SimError::invalid(
                 "fleet.duration",
                 "warmup + duration overflows",
-            ));
-        }
-        if self.epoch.is_zero() || self.epoch > self.duration {
-            return Err(SimError::invalid(
-                "fleet.epoch",
-                "epoch must be non-zero and no longer than the measured window",
             ));
         }
         if self.retry.max_attempts == 0 {
@@ -406,24 +341,9 @@ impl FleetConfig {
                 "hysteresis thresholds must be ≥ 1",
             ));
         }
-        if let Some(d) = &self.diurnal {
-            d.validate()?;
-        }
-        if let Some(c) = &self.churn {
-            c.validate()?;
-        }
         self.governor.validate()?;
         self.fault_plan.validate(self.servers)?;
         self.admission.validate()?;
-        if let Some(b) = &self.retry_budget {
-            b.validate()?;
-        }
-        if let Some(b) = &self.breaker {
-            b.validate()?;
-        }
-        if let Some(b) = &self.brownout {
-            b.validate()?;
-        }
         let sample = TestbedConfig::new(AppModel::for_kind(self.app), self.initial_load())
             .with_profile(self.profile.clone())
             .with_admission(self.admission);
@@ -433,7 +353,7 @@ impl FleetConfig {
     /// The steady per-server load the fleet starts every server at.
     fn initial_load(&self) -> LoadSpec {
         let per = (self.total_rps / self.servers as f64).max(1.0);
-        LoadSpec::custom(per, self.epoch, 1.0, 0.0)
+        LoadSpec::custom(per, EPOCH, 1.0, 0.0)
     }
 
     /// End of simulated time.
@@ -511,8 +431,6 @@ pub struct FleetResult {
     pub ejections: u64,
     /// Health readmissions.
     pub readmissions: u64,
-    /// Flows that lost affinity to connection churn.
-    pub churned_flows: u64,
     /// Requests shed by LB-side brownout (admitted, closed shed).
     pub shed: u64,
     /// Attempts rejected by a saturated server's admission gate — an
@@ -613,7 +531,6 @@ struct FleetCounters {
     failovers: u64,
     ejections: u64,
     readmissions: u64,
-    churned_flows: u64,
     shed_requests: u64,
     attempts_shed: u64,
     retry_budget_spent: u64,
@@ -631,8 +548,6 @@ struct FleetWorld {
     lb_view: Vec<bool>,
     /// Per-flow sticky server.
     affinity: Vec<Option<usize>>,
-    /// Per-flow connection incarnation; bumped on churn.
-    affinity_gen: Vec<u64>,
     /// Open request table — keyed access only, never iterated, so the
     /// map's nondeterministic iteration order can't leak into the run.
     reqs: HashMap<u64, RequestState>,
@@ -641,7 +556,6 @@ struct FleetWorld {
     rng_arrival: RngStream,
     rng_steer: RngStream,
     rng_latency: RngStream,
-    rng_churn: RngStream,
     /// Per-arrival priority-class draws (its own stream, so enabling
     /// brownout perturbs no other concern's randomness).
     rng_priority: RngStream,
@@ -669,11 +583,10 @@ type FleetSim = Simulator<FleetWorld>;
 
 impl FleetWorld {
     fn offered_rate(&self, now: SimTime) -> f64 {
-        let factor = self.cfg.diurnal.as_ref().map_or(1.0, |d| d.factor_at(now));
         // Fleet-scope load-spike faults multiply the offered rate —
         // the trigger half of the metastability experiment.
         let spike = self.faults.load_factor(now);
-        (self.cfg.total_rps * factor * spike).max(1.0)
+        (self.cfg.total_rps * spike).max(1.0)
     }
 }
 
@@ -707,7 +620,7 @@ fn refresh_steer_view(w: &mut FleetWorld, now: SimTime) {
 /// and applies any active hash-skew fault as a per-request override.
 fn steer(w: &mut FleetWorld, now: SimTime, flow: usize, exclude: Option<usize>) -> usize {
     refresh_steer_view(w, now);
-    let key = flow_key(flow as u64, w.affinity_gen[flow]);
+    let key = flow_key(flow as u64);
     let prior = w.affinity[flow];
     // A healthy affinity server blocked only by its breaker is a
     // short-circuit: the breaker, not health ejection, diverted it.
@@ -786,7 +699,7 @@ fn dispatch(w: &mut FleetWorld, sim: &mut FleetSim, id: u64, server: usize) {
         return;
     }
     let extra = w.faults.link_extra(now, server);
-    let hop = w.cfg.lb_hop + extra;
+    let hop = LB_HOP + extra;
     let attempt_idx = w.reqs.get(&id).map_or(0, |r| r.attempts.len());
     // The server-side admission gate, seen from the LB: a server whose
     // harvested saturation pegged at 1000 ‰ rejects the attempt after
@@ -1022,7 +935,7 @@ fn hedge_fired(w: &mut FleetWorld, sim: &mut FleetSim, id: u64) {
         return;
     };
     refresh_steer_view(w, now);
-    let key = flow_key(flow as u64, w.affinity_gen[flow]);
+    let key = flow_key(flow as u64);
     let target = w.ring.successor(key, primary, &w.steer_view);
     if target != primary {
         w.counters.hedges += 1;
@@ -1037,7 +950,7 @@ fn probe(w: &mut FleetWorld, sim: &mut FleetSim, server: usize) {
     let crashed = w.faults.server_crashed(now, server);
     let partitioned = w.faults.link_partitioned(now, server);
     let extra = w.faults.link_extra(now, server);
-    let rtt = (w.cfg.lb_hop + extra) + (w.cfg.lb_hop + extra);
+    let rtt = (LB_HOP + extra) + (LB_HOP + extra);
     let ok = !crashed && !partitioned && rtt <= w.cfg.probe.timeout;
     if w.faults.health_view_stale(now) {
         w.faults.note_stale_probe(now, server);
@@ -1099,7 +1012,7 @@ fn recompute_hedge_delay(w: &mut FleetWorld) {
 fn epoch_tick(w: &mut FleetWorld, sim: &mut FleetSim) {
     let now = sim.now();
     if w.budget_err.is_none() {
-        let epoch_secs = w.cfg.epoch.as_secs_f64();
+        let epoch_secs = EPOCH.as_secs_f64();
         for s in &mut w.servers {
             if let Err(e) = s.sim.run_until_budgeted(&mut s.tb, now, &w.budget) {
                 w.budget_err = Some(e);
@@ -1115,7 +1028,7 @@ fn epoch_tick(w: &mut FleetWorld, sim: &mut FleetSim) {
             // restarts the arrival chain, so hold small deltas steady.
             if (rate - s.current_rps).abs() > 0.05 * s.current_rps {
                 let ServerInstance { sim: inner, tb, .. } = s;
-                tb.switch_load(inner, LoadSpec::custom(rate, w.cfg.epoch, 1.0, 0.0));
+                tb.switch_load(inner, LoadSpec::custom(rate, EPOCH, 1.0, 0.0));
                 s.current_rps = rate;
             }
         }
@@ -1125,7 +1038,7 @@ fn epoch_tick(w: &mut FleetWorld, sim: &mut FleetSim) {
         }
         recompute_hedge_delay(w);
     }
-    let next = now + w.cfg.epoch;
+    let next = now + EPOCH;
     if next < w.end {
         sim.schedule_at(next, epoch_tick);
     }
@@ -1147,24 +1060,6 @@ fn warmup_boundary(w: &mut FleetWorld, sim: &mut FleetSim) {
         // begin_measurement clears the response log.
         s.resp_cursor = 0;
         s.q = StreamingQuantiles::new(window);
-    }
-}
-
-/// A churn wave: a random `fraction` of flows reconnect, losing
-/// affinity and re-hashing to a fresh ring position.
-fn churn_wave(w: &mut FleetWorld, sim: &mut FleetSim) {
-    let now = sim.now();
-    let Some(churn) = w.cfg.churn else { return };
-    for flow in 0..w.cfg.flows {
-        if w.rng_churn.chance(churn.fraction) {
-            w.affinity[flow] = None;
-            w.affinity_gen[flow] = w.affinity_gen[flow].wrapping_add(1);
-            w.counters.churned_flows += 1;
-        }
-    }
-    let next = now + churn.period;
-    if next < w.end {
-        sim.schedule_at(next, churn_wave);
     }
 }
 
@@ -1216,7 +1111,7 @@ fn arrival(w: &mut FleetWorld, sim: &mut FleetSim) {
     w.counters.admitted += 1;
     w.ledger.credit(Account::FleetRequestsAdmitted, 1);
     w.counters.open_requests += 1;
-    let flow = w.rng_arrival.below(w.cfg.flows as u64) as usize;
+    let flow = w.rng_arrival.below(FLOWS as u64) as usize;
     // Brownout: while the saturation signal is high, the LB sheds the
     // lowest-priority slice of arrivals before dispatch. The request
     // counts as admitted and closes immediately as shed, keeping the
@@ -1333,29 +1228,32 @@ pub fn try_run_fleet_budgeted(
     }
 
     let faults = FaultInjector::from_plan(&cfg.fault_plan, cfg.seed);
+    let (budgets, breakers, brownout) = if cfg.overload_control {
+        (
+            vec![RetryBudget::new(RetryBudgetPolicy::default()); FLOWS],
+            vec![CircuitBreaker::new(BreakerPolicy::default()); n],
+            Some(Brownout::new(BrownoutPolicy::default())),
+        )
+    } else {
+        (Vec::new(), Vec::new(), None)
+    };
     let hedge_floor = cfg.hedge.map_or(SimDuration::from_millis(1), |h| h.floor);
     let mut world = FleetWorld {
         ring: HashRing::new(n),
         trackers: vec![HealthTracker::new(cfg.probe.fail_threshold, cfg.probe.ok_threshold); n],
         lb_view: vec![true; n],
-        affinity: vec![None; cfg.flows],
-        affinity_gen: vec![0u64; cfg.flows],
+        affinity: vec![None; FLOWS],
         reqs: HashMap::new(),
         faults,
         ledger: ConservationLedger::new(),
         rng_arrival: RngStream::derive(cfg.seed, "fleet-arrival", 0),
         rng_steer: RngStream::derive(cfg.seed, "fleet-steer", 0),
         rng_latency: RngStream::derive(cfg.seed, "fleet-latency", 0),
-        rng_churn: RngStream::derive(cfg.seed, "fleet-churn", 0),
         rng_priority: RngStream::derive(cfg.seed, "fleet-priority", 0),
         counters: FleetCounters::default(),
-        budgets: cfg
-            .retry_budget
-            .map_or_else(Vec::new, |p| vec![RetryBudget::new(p); cfg.flows]),
-        breakers: cfg
-            .breaker
-            .map_or_else(Vec::new, |p| vec![CircuitBreaker::new(p); n]),
-        brownout: cfg.brownout.map(Brownout::new),
+        budgets,
+        breakers,
+        brownout,
         steer_view: Vec::with_capacity(n),
         hedge_delay: hedge_floor,
         end,
@@ -1380,12 +1278,9 @@ pub fn try_run_fleet_budgeted(
         );
         sim.schedule_at(SimTime::ZERO + offset, move |w, sim| probe(w, sim, server));
     }
-    // Epoch coupling, measurement boundary, churn waves.
-    sim.schedule_at(SimTime::ZERO + world.cfg.epoch, epoch_tick);
+    // Epoch coupling and the measurement boundary.
+    sim.schedule_at(SimTime::ZERO + EPOCH, epoch_tick);
     sim.schedule_at(SimTime::ZERO + world.cfg.warmup, warmup_boundary);
-    if let Some(churn) = world.cfg.churn {
-        sim.schedule_at(SimTime::ZERO + churn.period, churn_wave);
-    }
     // Server-crash boundaries from the fault plan (scope.core = server
     // index; an unpinned scope crashes the whole fleet).
     for spec in world.cfg.fault_plan.specs.clone() {
@@ -1562,7 +1457,6 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
     reg.set_counter("fleet.failovers", c.failovers);
     reg.set_counter("fleet.health.ejections", c.ejections);
     reg.set_counter("fleet.health.readmissions", c.readmissions);
-    reg.set_counter("fleet.churned_flows", c.churned_flows);
     reg.set_counter("fleet.server_crashes", crashes_sum);
     let mut breaker_opens = 0u64;
     let mut breaker_closes = 0u64;
@@ -1595,7 +1489,7 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
             won: s.won,
             crashes: s.crashes,
             ejected_at_end: ejected[i],
-            p99_internal: s.tb.client.latencies_mut().p99(),
+            p99_internal: s.tb.client.latencies().p99(),
             energy_j,
             degradation: s.tb.governor.degradation(),
         });
@@ -1626,7 +1520,6 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
         failovers: c.failovers,
         ejections: c.ejections,
         readmissions: c.readmissions,
-        churned_flows: c.churned_flows,
         shed: c.shed_requests,
         attempts_shed: c.attempts_shed,
         retry_budget_spent: c.retry_budget_spent,
@@ -1726,9 +1619,20 @@ mod tests {
         let mut bad = quick(2, GovernorKind::Ondemand);
         bad.total_rps = f64::NAN;
         assert!(bad.validate().is_err());
-        let mut bad = quick(2, GovernorKind::Ondemand);
-        bad.epoch = SimDuration::ZERO;
-        assert!(bad.validate().is_err());
+        // A measured window shorter than one coupling epoch.
+        let bad = quick(2, GovernorKind::Ondemand).with_window(
+            SimDuration::from_millis(40),
+            EPOCH - SimDuration::from_nanos(1),
+        );
+        assert!(matches!(
+            bad.validate(),
+            Err(SimError::InvalidConfig {
+                field: "fleet.duration",
+                ..
+            })
+        ));
+        let ok = quick(2, GovernorKind::Ondemand).with_window(SimDuration::from_millis(40), EPOCH);
+        assert!(ok.validate().is_ok());
         let mut bad = quick(2, GovernorKind::Ondemand);
         bad.hedge = Some(HedgePolicy {
             quantile: 1.5,

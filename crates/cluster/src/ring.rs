@@ -28,11 +28,12 @@ fn fnv1a(words: &[u64]) -> u64 {
     h
 }
 
-/// Hashes a flow (plus its churn incarnation) to a ring key. Bumping
-/// `incarnation` models a reconnect: the new connection gets a fresh
-/// source port, so it lands on a fresh ring position.
-pub fn flow_key(flow: u64, incarnation: u64) -> u64 {
-    fnv1a(&[flow, incarnation])
+/// Hashes a flow to a ring key: FNV-1a over the flow id and a zero
+/// word. The zero word is part of the pinned key function; dropping
+/// it would move every flow's ring position, and with it every fleet
+/// run's steering.
+pub fn flow_key(flow: u64) -> u64 {
+    fnv1a(&[flow, 0])
 }
 
 /// A consistent-hash ring over `servers` backends.
@@ -110,7 +111,7 @@ mod tests {
         let ring = HashRing::new(8);
         let healthy = vec![true; 8];
         for flow in 0..1000u64 {
-            let key = flow_key(flow, 0);
+            let key = flow_key(flow);
             let a = ring.steer(key, &healthy);
             let b = ring.steer(key, &healthy);
             assert_eq!(a, b);
@@ -124,7 +125,7 @@ mod tests {
         let healthy = vec![true; 8];
         let mut counts = [0u32; 8];
         for flow in 0..8000u64 {
-            counts[ring.steer(flow_key(flow, 0), &healthy)] += 1;
+            counts[ring.steer(flow_key(flow), &healthy)] += 1;
         }
         for (s, &c) in counts.iter().enumerate() {
             assert!(
@@ -141,7 +142,7 @@ mod tests {
         let mut degraded = healthy.clone();
         degraded[3] = false;
         for flow in 0..2000u64 {
-            let key = flow_key(flow, 0);
+            let key = flow_key(flow);
             let before = ring.steer(key, &healthy);
             let after = ring.steer(key, &degraded);
             if before != 3 {
@@ -157,7 +158,7 @@ mod tests {
         let ring = HashRing::new(4);
         let healthy = vec![true; 4];
         for flow in 0..500u64 {
-            let key = flow_key(flow, 0);
+            let key = flow_key(flow);
             let primary = ring.steer(key, &healthy);
             let hedge = ring.successor(key, primary, &healthy);
             assert_ne!(hedge, primary);
@@ -168,20 +169,15 @@ mod tests {
     fn single_server_successor_falls_back_to_it() {
         let ring = HashRing::new(1);
         let healthy = vec![true];
-        assert_eq!(ring.successor(flow_key(7, 0), 0, &healthy), 0);
+        assert_eq!(ring.successor(flow_key(7), 0, &healthy), 0);
     }
 
     #[test]
     fn all_unhealthy_still_steers_deterministically() {
         let ring = HashRing::new(4);
         let dead = vec![false; 4];
-        let s = ring.steer(flow_key(42, 0), &dead);
+        let s = ring.steer(flow_key(42), &dead);
         assert!(s < 4);
-        assert_eq!(s, ring.steer(flow_key(42, 0), &dead));
-    }
-
-    #[test]
-    fn incarnation_changes_the_key() {
-        assert_ne!(flow_key(9, 0), flow_key(9, 1));
+        assert_eq!(s, ring.steer(flow_key(42), &dead));
     }
 }

@@ -444,9 +444,14 @@ fn run_inner(
     let sent = tb.client.sent();
     let received = tb.client.received();
     let slo = app.slo;
-    let p99 = tb.client.latencies_mut().p99();
-    let p50 = SimDuration::from_nanos(tb.client.latencies_mut().quantile(0.50));
-    let frac_above_slo = tb.client.latencies_mut().fraction_above(slo.as_nanos());
+    let (p99, p50, frac_above_slo) = {
+        let mut latencies = tb.client.latencies();
+        (
+            latencies.p99(),
+            SimDuration::from_nanos(latencies.quantile(0.50)),
+            latencies.fraction_above(slo.as_nanos()),
+        )
+    };
     let energy_j = tb.measured_energy(end);
     let duration = tb.measured_duration(end);
     let avg_power_w = if duration.is_zero() {

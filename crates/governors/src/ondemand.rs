@@ -25,6 +25,12 @@ use cpusim::pstate::PStateTable;
 use cpusim::{CoreId, PState};
 use simcore::{SimDuration, SimTime};
 
+/// Utilization at or above which the governor escalates (the
+/// kernel's micro-accounting default).
+const UP_THRESHOLD: f64 = 0.95;
+/// Utilization sampling cadence.
+const SAMPLING_INTERVAL: SimDuration = SimDuration::from_millis(10);
+
 /// Per-core utilization-driven DVFS.
 ///
 /// # Examples
@@ -56,8 +62,6 @@ pub struct Ondemand {
     /// Current frequency believed per core (kept for introspection
     /// and NMAP's override bookkeeping).
     current: Vec<PState>,
-    up_threshold: f64,
-    interval: SimDuration,
 }
 
 impl Ondemand {
@@ -68,28 +72,14 @@ impl Ondemand {
         Ondemand {
             table,
             current: vec![slowest; cores],
-            up_threshold: 0.95,
-            interval: SimDuration::from_millis(10),
         }
-    }
-
-    /// Overrides the sampling interval (ablation studies).
-    pub fn with_interval(mut self, interval: SimDuration) -> Self {
-        self.interval = interval;
-        self
-    }
-
-    /// Overrides the up-threshold.
-    pub fn with_up_threshold(mut self, threshold: f64) -> Self {
-        self.up_threshold = threshold;
-        self
     }
 
     /// The ondemand decision for a utilization fraction, from the
     /// core's current state. Exposed for NMAP's CPU-utilization
     /// fallback mode.
     pub fn decide(&self, current: PState, util: f64) -> PState {
-        let desired = if util >= self.up_threshold {
+        let desired = if util >= UP_THRESHOLD {
             PState::P0
         } else {
             // od_update's range mapping: f_min + load · (f_max − f_min).
@@ -126,7 +116,7 @@ impl PStateGovernor for Ondemand {
     }
 
     fn sampling_interval(&self) -> SimDuration {
-        self.interval
+        SAMPLING_INTERVAL
     }
 
     fn on_core_sample(

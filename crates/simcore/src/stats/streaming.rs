@@ -202,18 +202,6 @@ pub struct WatchdogReport {
     pub mean_recover_ns: u64,
 }
 
-impl WatchdogReport {
-    /// Mean time-to-detect as a duration.
-    pub fn mean_detect(&self) -> SimDuration {
-        SimDuration::from_nanos(self.mean_detect_ns)
-    }
-
-    /// Mean time-to-recover as a duration.
-    pub fn mean_recover(&self) -> SimDuration {
-        SimDuration::from_nanos(self.mean_recover_ns)
-    }
-}
-
 /// Online per-core P99 tracking plus SLO crossing/recovery detection.
 ///
 /// Feed it every end-to-end latency sample; it maintains one
@@ -310,11 +298,6 @@ impl SloWatchdog {
     /// The SLO threshold in nanoseconds.
     pub fn slo_ns(&self) -> u64 {
         self.slo_ns
-    }
-
-    /// The current windowed global P99 estimate, nanoseconds.
-    pub fn online_p99_ns(&self) -> u64 {
-        self.global.p99_ns()
     }
 
     /// The windowed P99 of one core, nanoseconds (0 for out-of-range

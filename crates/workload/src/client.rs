@@ -38,9 +38,8 @@ pub struct Client {
     next_id: u64,
     sent: u64,
     received: u64,
-    latencies: Cdf,
     /// Per-response `(receive time at client, latency)` — the raw
-    /// series behind Fig 3/10/16.
+    /// series behind Fig 3/10/16, and the only copy of each sample.
     response_log: Vec<(SimTime, SimDuration)>,
 }
 
@@ -60,7 +59,6 @@ impl Client {
             next_id: 0,
             sent: 0,
             received: 0,
-            latencies: Cdf::new(),
             response_log: Vec::new(),
         }
     }
@@ -99,7 +97,6 @@ impl Client {
         assert_eq!(pkt.kind, PacketKind::Response, "client received a request");
         let latency = now.saturating_since(pkt.client_sent_at);
         self.received += 1;
-        self.latencies.record_duration(latency);
         self.response_log.push((now, latency));
         latency
     }
@@ -119,14 +116,13 @@ impl Client {
         self.sent - self.received
     }
 
-    /// The latency distribution (mutable: quantile queries sort).
-    pub fn latencies_mut(&mut self) -> &mut Cdf {
-        &mut self.latencies
-    }
-
-    /// The latency distribution.
-    pub fn latencies(&self) -> &Cdf {
-        &self.latencies
+    /// The latency distribution, built from the response log. Each
+    /// call copies the samples, so build it once per set of queries.
+    pub fn latencies(&self) -> Cdf {
+        self.response_log
+            .iter()
+            .map(|&(_, d)| d.as_nanos())
+            .collect()
     }
 
     /// Raw `(receive time, latency)` series.
@@ -136,7 +132,6 @@ impl Client {
 
     /// Discards all recorded statistics (used to cut off warm-up).
     pub fn reset_stats(&mut self) {
-        self.latencies = Cdf::new();
         self.response_log.clear();
     }
 }

@@ -23,7 +23,7 @@ fn simulate(name: &str, governor: Box<dyn PStateGovernor>, sleep: Box<dyn SleepP
     sim.run_until(&mut tb, SimTime::from_millis(600));
 
     let now = sim.now();
-    let p99 = tb.client.latencies_mut().p99();
+    let p99 = tb.client.latencies().p99();
     let energy = tb.measured_energy(now);
     let watts = energy / tb.measured_duration(now).as_secs_f64();
     println!(

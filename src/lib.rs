@@ -37,7 +37,7 @@
 //! let mut sim = Simulator::new();
 //! let mut tb = Testbed::new(cfg, Box::new(Performance::new()), Box::new(MenuPolicy::new(8)), &mut sim);
 //! sim.run_until(&mut tb, SimTime::from_millis(300));
-//! println!("p99 = {:?}", tb.client.latencies_mut().p99());
+//! println!("p99 = {:?}", tb.client.latencies().p99());
 //! ```
 
 // Library code must stay panic-free on arbitrary inputs: failures are

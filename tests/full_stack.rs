@@ -100,7 +100,7 @@ fn energy_ordering_performance_vs_powersave() {
         tb.begin_measurement(sim.now());
         sim.run_until(&mut tb, SimTime::from_millis(600));
         let e = tb.measured_energy(sim.now());
-        let p99 = tb.client.latencies_mut().p99();
+        let p99 = tb.client.latencies().p99();
         (e, p99)
     };
     let (e_perf, l_perf) = run(Box::new(Performance::new()));
@@ -170,7 +170,7 @@ fn deterministic_with_seed_distinct_across_seeds() {
             &mut sim,
         );
         sim.run_until(&mut tb, SimTime::from_millis(300));
-        (tb.client.sent(), tb.client.latencies_mut().quantile(0.99))
+        (tb.client.sent(), tb.client.latencies().quantile(0.99))
     };
     assert_eq!(run(1), run(1), "same seed must replay identically");
     assert_ne!(run(1), run(2), "different seeds must differ");
